@@ -49,7 +49,7 @@ def main(argv: list[str] | None = None) -> int:
         "--strategy", choices=["snapshot", "delta"], default="snapshot"
     )
     p_sync.add_argument(
-        "--shuffle", choices=["payload", "key_only", "packed"], default="payload"
+        "--shuffle", choices=["payload", "key_only"], default="payload"
     )
     p_sync.add_argument("--enrich", action="store_true")
     p_sync.add_argument("--no-resume", action="store_true")
@@ -62,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
         "--strategy", choices=["snapshot", "delta"], default="snapshot"
     )
     p_tail.add_argument(
-        "--shuffle", choices=["payload", "key_only", "packed"], default="payload"
+        "--shuffle", choices=["payload", "key_only"], default="payload"
     )
     p_tail.add_argument("--enrich", action="store_true")
     p_tail.add_argument("--poll-interval", type=float, default=1.0)

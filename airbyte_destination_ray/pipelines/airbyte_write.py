@@ -176,7 +176,7 @@ class AirbyteWriter:
 
     # -- setup (destination.go:183-255) ------------------------------------
     def setup_streams(self) -> None:
-        from ..state.manifest import COMPACTION_EPOCH_BASE
+        from ..state.manifest import source_epochs
 
         max_committed_epoch = -1
         for s in self.catalog.streams:
@@ -216,9 +216,9 @@ class AirbyteWriter:
             self.table_meta[table] = meta
             self.result.tables.append(table)
             # resume the flush-epoch counter past every committed manifest
-            for m in store._iter_manifests(gen):
-                if m.epoch < COMPACTION_EPOCH_BASE:
-                    max_committed_epoch = max(max_committed_epoch, m.epoch)
+            max_committed_epoch = max(
+                [max_committed_epoch, *source_epochs(store._iter_manifests(gen))]
+            )
         self.flush_epoch = max_committed_epoch + 1
 
     # -- record path (destination.go:421-453) ------------------------------

@@ -37,7 +37,11 @@ from ..stages.lww import (
     make_partition_merger,
     make_partitioner,
 )
-from ..state.manifest import ManifestStore
+from ..state.manifest import (
+    ManifestStore,
+    next_lane_epoch,
+    resolve_state,
+)
 from ..state.registry import SchemaStore
 
 PAGES_PAYLOAD = ["url", "warc_ts", "html", "text", "lang"]
@@ -77,15 +81,6 @@ def run_cdc_sync(
     - ``"payload"`` (default): change rows flow through the hash exchange
       whole.  Right when most changes are distinct keys (little cross-batch
       redundancy to exploit).
-    - ``"packed"``: payload semantics, but each routing batch is grouped
-      by partition and serialized into one Arrow-IPC envelope per
-      partition before the exchange — the sort machinery then moves
-      ~(blocks × partitions) opaque binary rows instead of millions of
-      wide rows.  Byte-identical output (pinned).  Measured NEUTRAL on one
-      node at 20M × 128 partitions (the pack/unpack memcpys offset the
-      sort-row savings); retained for multi-node clusters, where fewer,
-      larger objects cut per-object transfer overhead in the cross-node
-      exchange.
     - ``"key_only"``: two-pass merge for WIDE payloads (SURVEY §7 hard-point
       (c) — Common-Crawl ``html`` is ~100 KB/row while the merge key is
       ~100 B).  Pass 1 reads ONLY ``(seq, pk, ver)`` (Parquet column
@@ -102,6 +97,8 @@ def run_cdc_sync(
       falls back for epochs needing in-flight schema alignment (renames may
       touch the key columns themselves).
     """
+    if shuffle not in ("payload", "key_only"):
+        raise ValueError(f"shuffle must be payload|key_only, got {shuffle!r}")
     payload_override = payload_columns
     store = ManifestStore(lake_root, table)
     store.root.mkdir(parents=True, exist_ok=True)
@@ -231,7 +228,6 @@ def run_cdc_sync(
             pre_transform=make_envelope_aligner(
                 lake_root, table, src_version, target_version
             ),
-            pack=(shuffle == "packed"),
         )
         merger = make_partition_merger(
             lake_root,
@@ -791,8 +787,6 @@ def compact_table(lake_root: str, table: str) -> dict:
     """
     import numpy as np
 
-    from ..state.manifest import COMPACTION_EPOCH_BASE
-
     store = ManifestStore(lake_root, table)
     meta = store.table_meta()
     gen = meta["generation"]
@@ -800,15 +794,11 @@ def compact_table(lake_root: str, table: str) -> dict:
     stacks = [s for s in _delta_partition_stacks(store, meta) if len(s["files"]) > 1]
     if not stacks:
         return {"compacted_partitions": 0}
-    all_manifests = store._iter_manifests(gen)
-    prev_lane = [
-        m.epoch for m in all_manifests if m.epoch >= COMPACTION_EPOCH_BASE
-    ]
-    next_epoch = max(prev_lane, default=COMPACTION_EPOCH_BASE - 1) + 1
+    next_epoch = next_lane_epoch(store._iter_manifests(gen))
     target_version = max(s["schema_version"] for s in stacks)
     # the compaction COVERS every source epoch folded into the stacks; a
-    # later source epoch then outranks it (manifest order_key), so post-
-    # compaction data can never be shadowed
+    # later source epoch then outranks it (state.manifest.resolve_state),
+    # so post-compaction data can never be shadowed
     covers = max(s["covers_epoch"] for s in stacks)
 
     merger = make_partition_merger(
@@ -912,7 +902,7 @@ def cluster_table(
     degrade it.  Delta-strategy stacks fold (LWW) before sorting —
     clustering doubles as compaction there.
     """
-    from ..state.manifest import COMPACTION_EPOCH_BASE, PartitionManifest
+    from ..state.manifest import PartitionManifest
     from ..stages.lww import (
         _atomic_write_parquet,
         _file_column_stats,
@@ -932,28 +922,22 @@ def cluster_table(
     if not isinstance(pk, str):
         pk = pk[0]
     is_delta = meta.get("merge_strategy") == "delta"
-    stacks = []
-    for p in range(int(meta["num_partitions"])):
-        m = store.latest_snapshot(gen, p)
-        if m is None or not m.files:
-            continue
-        stacks.append(
-            {
-                "partition": p,
-                "files": list(m.files),
-                "schema_version": m.schema_version,
-                "covers_epoch": m.effective_epoch,
-                "row_count": m.row_count,
-                "max_seq": m.max_seq,
-            }
-        )
+    manifests = store._iter_manifests(gen)
+    stacks = [
+        {
+            "partition": p,
+            "files": list(m.files),
+            "schema_version": m.schema_version,
+            "covers_epoch": m.effective_epoch,
+            "row_count": m.row_count,
+            "max_seq": m.max_seq,
+        }
+        for p, m in sorted(resolve_state(manifests).items())
+        if m.files
+    ]
     if not stacks:
         return {"clustered_partitions": 0}
-    all_manifests = store._iter_manifests(gen)
-    prev_lane = [
-        m.epoch for m in all_manifests if m.epoch >= COMPACTION_EPOCH_BASE
-    ]
-    next_epoch = max(prev_lane, default=COMPACTION_EPOCH_BASE - 1) + 1
+    next_epoch = next_lane_epoch(manifests)
     schema_store = SchemaStore(lake_root, table)
     target_version = (
         schema_store.current_version()
@@ -1125,42 +1109,16 @@ def lookup_rows(
     return ds.map_batches(filt, batch_format="pyarrow", batch_size=None)
 
 
-def table_row_count(lake_root: str, table: str) -> int:
-    """A5: current committed PHYSICAL row count from manifests (metadata
-    only — no data scan).
-
-    Append manifests carry the cumulative partition count and snapshot
-    manifests the current one, so this equals the logical row count for
-    those; for delta-strategy stacks it counts stacked physical rows
-    (superseded versions and tombstones included) until a compaction folds
-    them — use ``read_table(...).count()`` when the logical count of an
-    uncompacted delta table is needed.
-    """
-    store = ManifestStore(lake_root, table)
-    meta = store.table_meta()
-    latest: dict[int, int] = {}
-    best: dict[int, tuple[int, int]] = {}
-    for m in store._iter_manifests(meta["generation"]):
-        if m.partition not in best or m.order_key > best[m.partition]:
-            best[m.partition] = m.order_key
-            latest[m.partition] = m.row_count
-    return sum(latest.values())
-
-
 def _delta_partition_stacks(
-    store: ManifestStore, meta: dict, *, max_epoch: int | None = None
+    store: ManifestStore, meta: dict, *, max_epoch: int | None = None,
+    partitions=None,
 ) -> list[dict]:
-    """Latest manifest per partition → one descriptor row per partition
-    (recency by ``order_key`` so compactions never shadow later epochs).
-    ``max_epoch`` = the stack as of that source epoch (time travel)."""
-    manifests = store._iter_manifests(meta["generation"])
-    latest: dict[int, object] = {}
-    for m in manifests:
-        if max_epoch is not None and m.effective_epoch > max_epoch:
-            continue
-        cur = latest.get(m.partition)
-        if cur is None or m.order_key > cur.order_key:
-            latest[m.partition] = m
+    """Winning manifest per partition → one descriptor row per partition.
+    ``max_epoch`` = the stack as of that source epoch (time travel);
+    ``partitions`` = only those partitions' manifests are read."""
+    state = store.table_state(
+        meta["generation"], max_epoch=max_epoch, partitions=partitions
+    )
     return [
         {
             "partition": p,
@@ -1168,7 +1126,7 @@ def _delta_partition_stacks(
             "schema_version": m.schema_version,
             "covers_epoch": m.effective_epoch,
         }
-        for p, m in sorted(latest.items())
+        for p, m in sorted(state.items())
         if m.files
     ]
 
@@ -1217,11 +1175,10 @@ def _read_delta_table(
     partitions=None,
     as_of_epoch: int | None = None,
 ):
-    store = ManifestStore(lake_root, table)
-    stacks = _delta_partition_stacks(store, meta, max_epoch=as_of_epoch)
-    if partitions is not None:
-        wanted = set(partitions)
-        stacks = [r for r in stacks if r["partition"] in wanted]
+    stacks = _delta_partition_stacks(
+        ManifestStore(lake_root, table), meta,
+        max_epoch=as_of_epoch, partitions=partitions,
+    )
     if not stacks:
         return ray.data.from_arrow(pa.table({}))
     pk, ver = meta["pk"], meta["cursor"]
@@ -1326,7 +1283,6 @@ def delete_rows(lake_root: str, table: str, keys) -> dict:
     removed-row counts.
     """
     from ..functions.hashing import partition_ids
-    from ..state.manifest import COMPACTION_EPOCH_BASE
 
     store = ManifestStore(lake_root, table)
     meta = store.table_meta()
@@ -1367,11 +1323,7 @@ def delete_rows(lake_root: str, table: str, keys) -> dict:
     stacks = [s for s in all_stacks if s["partition"] in wanted]
     if not stacks:
         return {"partitions_rewritten": 0, "rows_removed": 0}
-    all_manifests = store._iter_manifests(gen)
-    prev_lane = [
-        m.epoch for m in all_manifests if m.epoch >= COMPACTION_EPOCH_BASE
-    ]
-    next_epoch = max(prev_lane, default=COMPACTION_EPOCH_BASE - 1) + 1
+    next_epoch = next_lane_epoch(store._iter_manifests(gen))
     target_version = max(s["schema_version"] for s in stacks)
     pk_col, ver = pk, meta["cursor"]
     keys_ref = ray.put(keys)
@@ -1481,21 +1433,22 @@ def change_feed(
             raise ValueError("change_feed supports single-column pks")
         pk = pk[0]
     manifests = store._iter_manifests(meta["generation"])
-    if not any(m.effective_epoch <= epoch for m in manifests):
+    new_state = resolve_state(manifests, max_epoch=epoch)
+    old_state = resolve_state(manifests, max_epoch=epoch - 1)
+    if not new_state:
         raise ValueError(
             f"change_feed: table {table!r} has no committed state as of "
             f"epoch {epoch} (nothing to diff — sync first)"
         )
     fast = _change_feed_copartitioned(
-        store, meta, pk=pk, epoch=epoch, compare_cols=compare_cols
+        store, meta, old_state, new_state, pk=pk, compare_cols=compare_cols
     )
     if fast is not None:
         return fast
     new = read_table(
         lake_root, table, columns=[pk, *compare_cols], as_of_epoch=epoch
     )
-    has_prev = any(m.effective_epoch <= epoch - 1 for m in manifests)
-    if not has_prev:
+    if not old_state:
         # no predecessor state: the whole epoch-0 view is inserts
         def as_inserts(batch: pa.Table) -> pa.Table:
             cols = {pk: batch.column(pk)}
@@ -1516,15 +1469,16 @@ def change_feed(
 
 
 def _change_feed_copartitioned(
-    store: ManifestStore, meta: dict, *, pk: str, epoch: int,
-    compare_cols: list[str],
+    store: ManifestStore, meta: dict, old_state: dict, new_state: dict, *,
+    pk: str, compare_cols: list[str],
 ):
     """Exchange-free change feed over a snapshot table, or ``None`` when the
     layout can't support it (delta file stacks, mixed schema versions).
 
     Both snapshots live under the SAME key-hash partitioning, so a key can
     only change within its own partition: partitions whose winning manifest
-    is identical at ``epoch-1`` and ``epoch`` are pruned from the scan (the
+    is identical in ``old_state`` (as of ``epoch-1``) and ``new_state`` (as
+    of ``epoch``) are pruned from the scan (the
     Delta-CDF changed-file analog), and each touched partition is diffed by
     one task that reads just its own old+new snapshot files — zero shuffle,
     O(touched partitions) work regardless of table size.
@@ -1535,21 +1489,17 @@ def _change_feed_copartitioned(
         return None
     lake_root = store.root.parent
     table = store.root.name
-    gen = meta["generation"]
     schema_store = SchemaStore(str(lake_root), table)
     current_version = (
         schema_store.current_version() if schema_store.exists() else None
     )
     plan: list[dict] = []
     sample_file: str | None = None
-    for p in range(int(meta["num_partitions"])):
-        new_m = store.latest_snapshot(gen, p, max_epoch=epoch)
-        if new_m is None:
-            continue
+    for p, new_m in sorted(new_state.items()):
         if sample_file is None and new_m.files:
             sample_file = new_m.files[0]
-        old_m = store.latest_snapshot(gen, p, max_epoch=epoch - 1)
-        if old_m is not None and old_m.order_key == new_m.order_key:
+        old_m = old_state.get(p)
+        if old_m is not None and old_m.key == new_m.key:
             continue  # untouched at `epoch` — contributes no changes
         for m in (old_m, new_m):
             if (
@@ -1934,13 +1884,7 @@ def rollback_table(
     # files: validate the SURVIVING snapshot's files exist BEFORE
     # unlinking anything, or a rollback past a vacuum would "succeed"
     # into an unreadable table.
-    surviving: dict[int, PartitionManifest] = {}
-    for m in all_m:
-        if m.effective_epoch > to_epoch:
-            continue
-        cur = surviving.get(m.partition)
-        if cur is None or m.order_key > cur.order_key:
-            surviving[m.partition] = m
+    surviving = resolve_state(all_m, max_epoch=to_epoch)
     missing = [
         f
         for m in surviving.values()
@@ -2106,11 +2050,12 @@ def copartitioned_join(
     pk = lpk
     num_partitions = int(lm["num_partitions"])
 
+    lstate = ls.table_state(lm["generation"])
+    rstate = rs.table_state(rm["generation"])
     plan: list[dict] = []
     lsample = rsample = None
     for p in range(num_partitions):
-        lman = ls.latest_snapshot(lm["generation"], p)
-        rman = rs.latest_snapshot(rm["generation"], p)
+        lman, rman = lstate.get(p), rstate.get(p)
         lf = list(lman.files) if lman is not None else []
         rf = list(rman.files) if rman is not None else []
         if lsample is None and lf:

@@ -79,7 +79,7 @@ def lineage_epoch_totals(sf_dir: str, *, workdir: str | Path | None = None) -> p
     recency resolution) hash-checkable against a DuckDB oracle."""
     import os
 
-    from ..state.manifest import ManifestStore
+    from ..state.manifest import ManifestStore, resolve_state, source_epochs
 
     tag = f"lineage-tot-{Path(sf_dir).name}-{os.getpid()}"
     base = Path(workdir) if workdir else Path("/tmp/adr_query") / tag
@@ -87,20 +87,13 @@ def lineage_epoch_totals(sf_dir: str, *, workdir: str | Path | None = None) -> p
     sync_events_table(sf_dir, workdir=base).count()  # ensure synced
     store = ManifestStore(str(lake), "events_cdc")
     meta = store.table_meta()
-    manifests = list(store._iter_manifests(meta["generation"]))
-    epochs = sorted({m.epoch for m in manifests})
+    manifests = store._iter_manifests(meta["generation"])
     out_e, out_rows, out_seq = [], [], []
-    for e in epochs:
-        latest: dict[int, object] = {}
-        for m in manifests:
-            if m.epoch > e:
-                continue
-            cur = latest.get(m.partition)
-            if cur is None or m.order_key > cur.order_key:
-                latest[m.partition] = m
+    for e in sorted(source_epochs(manifests)):
+        state = resolve_state(manifests, max_epoch=e).values()
         out_e.append(e)
-        out_rows.append(sum(m.row_count for m in latest.values()))
-        out_seq.append(max(m.max_seq for m in latest.values()))
+        out_rows.append(sum(m.row_count for m in state))
+        out_seq.append(max(m.max_seq for m in state))
     return pa.table(
         {
             "epoch": pa.array(out_e, type=pa.int64()),
@@ -158,12 +151,8 @@ def range_scan_events_table(sf_dir: str, *, workdir: str | Path | None = None):
 
     lake = _ensure_events_lake(sf_dir, workdir)
     store = ManifestStore(str(lake), "events_cdc")
-    meta = store.table_meta()
-    upper = 0
-    for p in range(int(meta["num_partitions"])):
-        m = store.latest_snapshot(meta["generation"], p)
-        if m is not None:
-            upper = max(upper, m.max_seq)
+    state = store.table_state(store.table_meta()["generation"])
+    upper = max([0, *(m.max_seq for m in state.values())])
     return read_table(
         str(lake), "events_cdc", columns=EVENT_PAYLOAD,
         range_filter=("event_id", (3 * upper) // 4, upper),

@@ -126,14 +126,12 @@ def sync_text_index(
     old_col, new_col = f"{text_col}_old", f"{text_col}_new"
     tok = tokenizer if tokenizer is not None else _terms_per_row
 
-    from ..state.manifest import COMPACTION_EPOCH_BASE, ManifestStore
+    from ..state.manifest import ManifestStore, source_epochs
 
     store = ManifestStore(lake_root, table)
-    committed_epochs = {
-        m.effective_epoch
-        for m in store._iter_manifests(store.table_meta()["generation"])
-        if m.epoch < COMPACTION_EPOCH_BASE
-    }
+    committed_epochs = source_epochs(
+        store._iter_manifests(store.table_meta()["generation"])
+    )
 
     for epoch in range(int(meta["last_epoch"]) + 1, upto_epoch + 1):
         if epoch not in committed_epochs:

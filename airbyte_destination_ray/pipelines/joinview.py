@@ -390,18 +390,10 @@ def read_join_view(
     """Dataset over the maintained view (latest manifest per partition;
     ``as_of_epoch`` time-travels the view like ``read_table``)."""
     store = ManifestStore(lake_root, table)
-    meta = store.table_meta()
-    latest: dict[int, PartitionManifest] = {}
-    for m in store._iter_manifests(meta["generation"]):
-        if as_of_epoch is not None and m.epoch > as_of_epoch:
-            continue
-        cur = latest.get(m.partition)
-        if cur is None or m.order_key > cur.order_key:
-            latest[m.partition] = m
-    files = [
-        str(Path(lake_root) / m.files[0]) for m in latest.values()
-        if m.row_count >= 0
-    ]
+    state = store.table_state(
+        store.table_meta()["generation"], max_epoch=as_of_epoch
+    )
+    files = [str(Path(lake_root) / m.files[0]) for m in state.values()]
     if not files:
         return ray.data.from_arrow(
             _join_states(_empty_fact_state(), _empty_dim_state())

@@ -1028,9 +1028,9 @@ def q18_large_volume_orders(sf_dir: str):
             ).iter_batches(batch_format="pyarrow")
         )
     )
-    order_keys = qual_t.column("l_orderkey").to_numpy(zero_copy_only=False)
+    orderkeys = qual_t.column("l_orderkey").to_numpy(zero_copy_only=False)
     sums = qual_t.column("sum_qty_cents").to_numpy(zero_copy_only=False)
-    srt = np.argsort(order_keys)
+    srt = np.argsort(orderkeys)
     cust = pq.read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
     )
@@ -1038,7 +1038,7 @@ def q18_large_volume_orders(sf_dir: str):
     cs = np.argsort(ck)
     lookup_ref = ray.put(
         (
-            order_keys[srt],
+            orderkeys[srt],
             sums[srt],
             ck[cs],
             cust.column("c_name").combine_chunks().take(pa.array(cs)),

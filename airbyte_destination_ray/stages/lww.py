@@ -68,7 +68,7 @@ _PACKED_SCHEMA = pa.schema(
 
 def ipc_bytes(t: pa.Table) -> bytes:
     """Arrow-IPC wire format for packed exchanges — the single writer half
-    of the partitioner↔merger (and dataset-write route↔merge) contract."""
+    of the dataset-write route↔merge contract."""
     sink = pa.BufferOutputStream()
     with pa.ipc.new_stream(sink, t.schema) as w:
         w.write_table(t)
@@ -194,7 +194,6 @@ def make_partitioner(
     extract_text: bool = False,
     html_column: str = "html",
     pre_transform: Callable[[pa.Table], pa.Table] | None = None,
-    pack: bool = False,
 ) -> Callable[[pa.Table], pa.Table]:
     """``map_batches`` stage: envelope → lake rows + ``_part`` routing column.
 
@@ -206,13 +205,6 @@ def make_partitioner(
     With ``enrich``, each surviving row is annotated in-flight with the
     text-analysis columns (``lang_id, quality, n_tokens, fingerprint``) —
     after the pre-reduce, so superseded versions are never annotated.
-
-    With ``pack``, the batch is grouped by ``_part`` and serialized into
-    ONE Arrow-IPC envelope row per partition: the sort exchange then moves
-    ~(blocks × partitions) opaque binary rows instead of millions of wide
-    rows, skipping the per-row take/copy cost of sorting string-heavy
-    payloads (the data bytes still move — once, as contiguous buffers).
-    The merger unpacks transparently.
     """
 
     def fn(batch: pa.Table) -> pa.Table:
@@ -246,9 +238,7 @@ def make_partitioner(
             from ..functions.hashing import composite_partition_ids
 
             parts = composite_partition_ids(batch, pks, num_partitions)
-        if not pack:
-            return batch.append_column("_part", pa.array(parts, type=pa.int64()))
-        return pack_by_part(batch, np.asarray(parts))
+        return batch.append_column("_part", pa.array(parts, type=pa.int64()))
 
     return fn
 
@@ -451,29 +441,6 @@ def make_partition_merger(
             if partition is not None
             else int(group.column("_part")[0].as_py())
         )
-        if "_ipc" in group.column_names:
-            # packed exchange (make_partitioner(pack=True)): unpack the
-            # per-batch IPC envelopes back into lake rows.  Envelope schemas
-            # are expected to be identical within a partition group (callers
-            # route schema-evolution epochs through the envelope aligner);
-            # check before concat so a future mis-packing caller fails with
-            # a diagnosable message, not an opaque concat error.
-            tables = [ipc_table(b) for b in group.column("_ipc").to_pylist()]
-            first_schema = tables[0].schema
-            for t in tables[1:]:
-                if not t.schema.equals(first_schema):
-                    raise ValueError(
-                        f"packed IPC envelopes for table {table_name!r} "
-                        f"partition {part} epoch {epoch} carry mismatched "
-                        f"schemas ({first_schema.names} vs {t.schema.names}); "
-                        "align envelope schemas (run the schema aligner) "
-                        "before packing a schema-evolution epoch"
-                    )
-            unpacked = pa.concat_tables(tables)
-            group = unpacked.append_column(
-                "_part",
-                pa.array(np.full(unpacked.num_rows, part, dtype=np.int64)),
-            )
         store = ManifestStore(lake_root, table_name)
         existing = store.get(generation, epoch, part)
         if existing is not None:

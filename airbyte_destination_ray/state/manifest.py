@@ -12,14 +12,15 @@ Layout under ``lake_root/<table>/``::
 
     gen=<G>/parts/p=<P>/e<E>.parquet      data snapshot files
     _manifests/g<G>-e<E>-p<P>.json        per-(generation, epoch, partition) commit
-    _checkpoints/e<E>.json                epoch checkpoint (all partitions committed)
+    _checkpoints/g<G>-e<E>.json           epoch checkpoint (all partitions committed)
     _meta.json                            table metadata (generation, partitioning, mode)
     _schema/v<V>.json                     schema-registry versions
 
 Snapshot semantics: for merge (append_dedup / overwrite) tables each
 manifest's ``files`` list is the **full** current file set of its partition as
-of that epoch, so "current state of partition p" = the manifest with the
-highest committed epoch for p in the active generation — snapshot isolation
+of that epoch, so "current state of partition p" = the winning manifest for p
+in the active generation (:func:`resolve_state` — the one place the recency
+rule lives; every reader goes through it) — snapshot isolation
 with no row-level delete scans (this is what makes overwrite A3 a metadata
 flip, matching the semantics of the reference's delete-then-append job,
 destination.go:198-241).  For append tables manifests are additive and the
@@ -66,7 +67,7 @@ class PartitionManifest:
     # highest SOURCE epoch this manifest's state covers.  Normal commits
     # cover their own epoch (-1 → use .epoch); compaction-lane commits cover
     # the epochs folded into them, which is how a later source epoch can
-    # outrank an earlier compaction (see _order_key).
+    # outrank an earlier compaction (see order_key).
     covers_epoch: int = -1
     # zone map: per-file column [min, max] over this manifest's files
     # ({rel_path: {col: [lo, hi]}}, temporal values encoded as storage-unit
@@ -94,6 +95,42 @@ class PartitionManifest:
     @property
     def key(self) -> str:
         return f"g{self.generation:04d}-e{self.epoch:06d}-p{self.partition:05d}"
+
+
+def resolve_state(
+    manifests, *, max_epoch: int | None = None
+) -> dict[int, PartitionManifest]:
+    """The recency rule — the ONE place a winning manifest is picked:
+    partition → its manifest with the highest ``order_key`` among those
+    whose covered source epoch is ≤ ``max_epoch`` (None = no bound).
+
+    A compaction covering epochs ≤ E ranks above the plain epoch-E
+    manifest but BELOW any later source epoch's manifest, so compactions
+    can never shadow post-compaction data."""
+    state: dict[int, PartitionManifest] = {}
+    for m in manifests:
+        if max_epoch is not None and m.effective_epoch > max_epoch:
+            continue
+        cur = state.get(m.partition)
+        if cur is None or m.order_key > cur.order_key:
+            state[m.partition] = m
+    return state
+
+
+def next_lane_epoch(manifests) -> int:
+    """First free compaction-lane epoch above every lane manifest of the
+    generation (across ALL partitions, winning or not — reusing an
+    occupied slot would turn the new commit into a silent CAS no-op)."""
+    return 1 + max(
+        (m.epoch for m in manifests if m.epoch >= COMPACTION_EPOCH_BASE),
+        default=COMPACTION_EPOCH_BASE - 1,
+    )
+
+
+def source_epochs(manifests) -> set[int]:
+    """Binlog/flush epochs with at least one committed manifest
+    (compaction-lane commits excluded — they are not source epochs)."""
+    return {m.epoch for m in manifests if m.epoch < COMPACTION_EPOCH_BASE}
 
 
 def _atomic_write_json(path: Path, payload: dict) -> bool:
@@ -176,21 +213,16 @@ class ManifestStore:
         prior rows before writing new data (destination.go:198-241) — so the
         old generation's rows become invisible immediately; its files remain
         on disk for manual rollback until vacuumed."""
-        meta = self.table_meta()
-        meta["generation"] = int(meta["generation"]) + 1
-        # plain overwrite is fine: single driver mutates generations
-        tmp = self.root / "_meta.json.tmp"
-        with open(tmp, "w") as f:
-            json.dump(meta, f, sort_keys=True)
-        os.replace(tmp, self.root / "_meta.json")
-        return meta["generation"]
+        generation = int(self.table_meta()["generation"]) + 1
+        self.update_meta(generation=generation)
+        return generation
 
     def update_meta(self, **fields) -> dict:
-        """Atomically mutate table metadata (single driver writes meta, like
-        :meth:`bump_generation`).  Used by maintenance ops whose LAST step is
-        a metadata flip — e.g. partition evolution commits its rewritten
-        generation by updating ``generation`` + ``num_partitions`` in one
-        write, so a crash before the flip leaves the old layout fully
+        """Atomically mutate table metadata (tmp + rename; no CAS needed —
+        a single driver writes meta).  Used by maintenance ops whose LAST
+        step is a metadata flip — e.g. partition evolution commits its
+        rewritten generation by updating ``generation`` + ``num_partitions``
+        in one write, so a crash before the flip leaves the old layout fully
         intact.  A ``None`` value REMOVES the key (used by write-audit-
         publish to drop the ``published_generation`` pin in the same
         atomic write that makes the staged generation visible)."""
@@ -239,41 +271,46 @@ class ManifestStore:
         ).exists()
 
     def _iter_manifests(
-        self, generation: int, partition: int | None = None
+        self, generation: int, partitions=None
     ) -> list[PartitionManifest]:
-        """Manifests of a generation; with ``partition``, only that
-        partition's (filename-filtered BEFORE parsing — per-task snapshot
-        lookups stay O(epochs), not O(epochs × partitions))."""
+        """Manifests of a generation — one directory listing.  With
+        ``partitions`` (ids), only those partitions' manifests, filtered by
+        filename BEFORE parsing: a merge task's previous-state lookup stays
+        O(epochs), not O(epochs × partitions)."""
         if not self.manifest_dir.exists():
             return []
         prefix = f"g{generation:04d}-"
-        suffix = (
-            f"-p{partition:05d}.json" if partition is not None else ".json"
+        wanted = (
+            None if partitions is None
+            else {f"-p{p:05d}.json" for p in partitions}
         )
         out = []
         for p in self.manifest_dir.iterdir():
-            if p.name.startswith(prefix) and p.name.endswith(suffix):
-                with open(p) as f:
-                    out.append(PartitionManifest(**json.load(f)))
+            name = p.name
+            if not (name.startswith(prefix) and name.endswith(".json")):
+                continue
+            if wanted is not None and name[name.rfind("-p"):] not in wanted:
+                continue
+            with open(p) as f:
+                out.append(PartitionManifest(**json.load(f)))
         return out
+
+    def table_state(
+        self, generation: int, *, max_epoch: int | None = None, partitions=None
+    ) -> dict[int, PartitionManifest]:
+        """Table state as of source epoch ``max_epoch``: partition → winning
+        manifest (:func:`resolve_state` over one listing)."""
+        return resolve_state(
+            self._iter_manifests(generation, partitions), max_epoch=max_epoch
+        )
 
     def latest_snapshot(
         self, generation: int, partition: int, *, max_epoch: int | None = None
     ) -> PartitionManifest | None:
-        """Current state of a partition = manifest with the highest
-        ``order_key`` whose covered source epoch is ≤ ``max_epoch``.
-
-        A compaction covering epochs ≤ E ranks above the plain epoch-E
-        manifest but BELOW any later source epoch's manifest, so compactions
-        can never shadow post-compaction data.
-        """
-        best: PartitionManifest | None = None
-        for m in self._iter_manifests(generation, partition):
-            if max_epoch is not None and m.effective_epoch > max_epoch:
-                continue
-            if best is None or m.order_key > best.order_key:
-                best = m
-        return best
+        """One partition's winning manifest (:meth:`table_state`)."""
+        return self.table_state(
+            generation, max_epoch=max_epoch, partitions=(partition,)
+        ).get(partition)
 
     def committed_files(self, generation: int, *, mode: str) -> list[str]:
         """All files of the current table state (active generation)."""
@@ -297,39 +334,25 @@ class ManifestStore:
 
         ``max_epoch`` = time travel: the file set as of source epoch
         ``max_epoch`` (manifests whose covered source epoch is newer are
-        ignored — same recency rule as :meth:`latest_snapshot`, so a
+        ignored — same recency rule as :meth:`table_state`, so a
         compaction covering epochs ≤ E serves an as-of-E read).  History
         exists within the ACTIVE generation only (an overwrite flip starts
         a new timeline) and only until ``vacuum`` reclaims superseded
         files.
         """
-        manifests = self._iter_manifests(generation)
-        if partitions is not None:
-            partitions = set(partitions)
-            manifests = [m for m in manifests if m.partition in partitions]
+        manifests = self._iter_manifests(generation, partitions)
         if max_epoch is not None:
             manifests = [m for m in manifests if m.effective_epoch <= max_epoch]
-        def rows(m: PartitionManifest):
-            if with_stats:
-                return [
-                    (f, m.schema_version, m.stats.get(f)) for f in m.files
-                ]
-            return [(f, m.schema_version) for f in m.files]
-
         if mode in ("append", "overwrite"):
-            files: list = []
-            for m in sorted(manifests, key=lambda m: (m.partition, m.epoch)):
-                files.extend(rows(m))
-            return files
-        latest: dict[int, PartitionManifest] = {}
-        for m in manifests:
-            cur = latest.get(m.partition)
-            if cur is None or m.order_key > cur.order_key:
-                latest[m.partition] = m
-        out: list = []
-        for p in sorted(latest):
-            out.extend(rows(latest[p]))
-        return out
+            manifests.sort(key=lambda m: (m.partition, m.epoch))
+        else:
+            manifests = [m for _, m in sorted(resolve_state(manifests).items())]
+        if with_stats:
+            return [
+                (f, m.schema_version, m.stats.get(f))
+                for m in manifests for f in m.files
+            ]
+        return [(f, m.schema_version) for m in manifests for f in m.files]
 
     # -- checkpoints ---------------------------------------------------------
     def vacuum(self, *, keep_generations: int = 0) -> dict:
@@ -425,15 +448,10 @@ class ManifestStore:
         mismatches: list[dict] = []
 
         manifests = self._iter_manifests(current)
-        latest: dict[int, PartitionManifest] = {}
-        for m in manifests:
-            cur = latest.get(m.partition)
-            if cur is None or m.order_key > cur.order_key:
-                latest[m.partition] = m
         check_set = (
-            list(latest.values())
+            list(resolve_state(manifests).values())
             if mode == "append_dedup"
-            else list(manifests)
+            else manifests
         )
         referenced: set[str] = set()
         for m in check_set:
@@ -465,17 +483,14 @@ class ManifestStore:
                         "parquet_rows": total,
                     }
                 )
-        # orphans: same rule as vacuum, but report instead of delete
-        all_referenced = {
-            f
-            for f, _ in self.committed_files_versioned(current, mode=mode)
-        }
+        # orphans: same rule as vacuum (``referenced`` is exactly the
+        # committed file set), but report instead of delete
         orphans: list[str] = []
         gen_dir = self.root / f"gen={current:04d}" / "parts"
         if gen_dir.exists():
             for f in gen_dir.rglob("*.parquet"):
                 rel = str(f.relative_to(self.root.parent))
-                if rel not in all_referenced:
+                if rel not in referenced:
                     orphans.append(rel)
         return {
             "table": self.root.name,

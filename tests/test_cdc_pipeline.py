@@ -333,17 +333,6 @@ def test_tail_vacuum_after_compact(binlog, tmp_path):
     assert lake_state(str(lake)).equals(lake_state(str(ref)))
 
 
-def test_packed_shuffle_matches_payload_shuffle(binlog, tmp_path):
-    """shuffle="packed" (per-partition IPC envelopes through the exchange)
-    must produce byte-identical lake state and digests to the payload
-    shuffle."""
-    a, b = tmp_path / "payload", tmp_path / "packed"
-    run_cdc_sync(str(a), binlog, num_partitions=PARTS, shuffle="payload")
-    run_cdc_sync(str(b), binlog, num_partitions=PARTS, shuffle="packed")
-    assert lake_state(str(a)).equals(lake_state(str(b)))
-    assert partition_digests(str(a)) == partition_digests(str(b))
-
-
 def test_lookup_rows_point_reads_only_needed_partitions(binlog, tmp_path):
     """lookup_rows returns exactly the LWW winners for the requested keys
     (tombstoned and missing keys absent) and touches ONLY the partitions

@@ -220,24 +220,3 @@ def test_vacuum_drops_superseded_generations(tmp_path, ray_session):
     res = ManifestStore(lake, "pages").vacuum()
     assert res["removed_generation_dirs"] == 1
     assert read_table_arrow(lake, "pages").sort_by("url").equals(before)
-
-
-def test_delta_strategy_composes_with_packed_shuffle(tmp_path, ray_session):
-    """merge_strategy="delta" × shuffle="packed" must equal the
-    snapshot/payload reference run."""
-    from airbyte_destination_ray.pipelines.cdc import (
-        read_table_arrow,
-        run_cdc_sync,
-    )
-    from airbyte_destination_ray.sources.synth import synthesize_binlog
-
-    binlog = tmp_path / "binlog"
-    synthesize_binlog(binlog, n_events=2400, n_keys=400, n_epochs=4, seed=17)
-    ref = tmp_path / "ref"
-    combo = tmp_path / "combo"
-    run_cdc_sync(str(ref), str(binlog), num_partitions=4)
-    run_cdc_sync(str(combo), str(binlog), num_partitions=4,
-                 merge_strategy="delta", compact_every=3, shuffle="packed")
-    a = read_table_arrow(str(ref), "pages").sort_by("url")
-    b = read_table_arrow(str(combo), "pages").sort_by("url")
-    assert a.equals(b)

@@ -198,38 +198,6 @@ def test_key_only_shuffle_falls_back_on_evolution(tmp_path, ray_session):
         assert t.column("quality_tier").to_pylist() == [None]
 
 
-def test_evolution_composes_with_packed_shuffle(ray_session, tmp_path):
-    """Schema evolution (add column, epoch segments under the old version)
-    must compose with shuffle="packed": the envelope aligner runs before
-    packing, so the IPC envelopes carry the current-version schema."""
-    lake, binlog = str(tmp_path / "lake"), tmp_path / "binlog"
-    write_custom_binlog(
-        binlog,
-        [
-            row(0, 0, "u1", 100),
-            row(1, 0, "u2", 100),
-            row(2, 1, "u1", 200, text="v2"),
-        ],
-    )
-    store = SchemaStore(lake, "pages")
-    run_cdc_sync(lake, str(binlog), num_partitions=4, epochs=[0],
-                 shuffle="packed")
-    store.init(PAGES_SCHEMA)
-    store.add_column("quality", pa.float64())
-    run_cdc_sync(
-        lake,
-        str(binlog),
-        num_partitions=4,
-        epochs=[1],
-        epoch_schema_versions={1: 0},
-        shuffle="packed",
-    )
-    out = read_table_arrow(lake, "pages")
-    assert "quality" in out.column_names
-    by_url = {r["url"]: r for r in out.to_pylist()}
-    assert by_url["u1"]["text"] == "v2"
-
-
 def test_lookup_rows_aligns_untouched_partition_after_evolution(
     ray_session, tmp_path
 ):
