@@ -21,8 +21,6 @@ which is what the oracle checks.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -31,10 +29,102 @@ import ray.data
 
 from ..functions.hashing import partition_ids
 from ..sources.synth import list_epochs, list_segments
-from ..stages.lww import _atomic_write_parquet, _stats_row
-from ..state.manifest import ManifestStore, PartitionManifest
+from ..stages.lww import commit_epoch, commit_partition, read_files
+from ..state.manifest import ManifestStore
 
 AGG_SCHEMA_COLS = ("n", "sum_cents")
+
+
+def maintain_view(
+    lake_root: str,
+    table: str,
+    generation: int,
+    epochs,
+    *,
+    resume: bool,
+    epoch_input,
+    partitioner,
+    fold,
+) -> dict:
+    """The maintained-view epoch loop (every view here and in joinview):
+    resume after the last checkpoint; per epoch, ``epoch_input(e)`` (None =
+    no input this epoch) goes through ONE :func:`commit_epoch` whose merger
+    folds each touched partition with ``fold(changes, prev) -> pieces`` —
+    ``(suffix, table)`` pairs, the first being the view rows — committed by
+    :func:`commit_partition` under the row lake's manifest CAS."""
+    store = ManifestStore(lake_root, table)
+    ckpt = store.last_checkpoint(generation) if resume else None
+    start_after = ckpt["epoch"] if ckpt else -1
+    summaries = []
+    for e in epochs:
+        if e <= start_after:
+            summaries.append({"epoch": e, "skipped": True})
+            continue
+        ds = epoch_input(e)
+        if ds is None:
+            continue
+
+        def merge(group: pa.Table) -> pa.Table:
+            def view_fold(prev):
+                pieces = fold(group.drop_columns(["_part"]), prev)
+                return pieces, {"row_count": pieces[0][1].num_rows}
+
+            return commit_partition(
+                lake_root, table, generation=generation, epoch=e,
+                partition=int(group.column("_part")[0].as_py()),
+                changes_in=group.num_rows, fold=view_fold,
+            )
+
+        stats = commit_epoch(
+            store, ds, partitioner=partitioner, merger=merge,
+            generation=generation, epoch=e, checkpoint={},
+        )
+        summaries.append(
+            {"epoch": e, "partitions": stats.num_rows, "skipped": False}
+        )
+    return {"table": table, "epochs": summaries}
+
+
+def _binlog_epochs(binlog_dir: str):
+    """``epoch_input`` reading one binlog epoch (None when it has no
+    segments)."""
+
+    def read(e: int):
+        segments = list_segments(binlog_dir, e)
+        if not segments:
+            return None
+        return ray.data.read_parquet(segments, override_num_blocks=len(segments))
+
+    return read
+
+
+def _sum_by_k(t: pa.Table) -> pa.Table:
+    """``k → (n, sum_cents)`` totals of a partials table."""
+    g = t.group_by("k", use_threads=False).aggregate(
+        [("n", "sum"), ("sum_cents", "sum")]
+    )
+    return pa.table(
+        {
+            "k": g.column("k"),
+            "n": g.column("n_sum"),
+            "sum_cents": g.column("sum_cents_sum"),
+        }
+    )
+
+
+def _fold_sums(lake_root: str, changes: pa.Table, prev, *, drop_empty=False):
+    """Aggregate-view fold: prev state + this epoch's partials, sorted by
+    key (deterministic file bytes: replays are byte-identical regardless
+    of batch arrival order)."""
+    pieces = [changes]
+    if prev is not None and prev.files:
+        pieces.append(read_files(lake_root, prev.files))
+    merged = _sum_by_k(pa.concat_tables(pieces, promote_options="permissive"))
+    if drop_empty:
+        # retractions can empty a group: drop n==0 rows (one-shot GROUP BY
+        # has no such group)
+        merged = merged.filter(pc.not_equal(merged.column("n"), 0))
+    return [("", merged.take(pc.sort_indices(merged, sort_keys=[("k", "ascending")])))]
 
 
 def run_incremental_agg(
@@ -62,127 +152,36 @@ def run_incremental_agg(
         view="incremental_agg",
     )
     num_partitions = meta["num_partitions"]
-    generation = meta["generation"]
 
-    all_epochs = epochs if epochs is not None else list_epochs(binlog_dir)
-    ckpt = store.last_checkpoint(generation) if resume else None
-    start_after = ckpt["epoch"] if ckpt else -1
-
-    summaries = []
-    for e in all_epochs:
-        if e <= start_after:
-            summaries.append({"epoch": e, "skipped": True})
-            continue
-        segments = list_segments(binlog_dir, e)
-        if not segments:
-            continue
-        ds = ray.data.read_parquet(
-            segments, override_num_blocks=len(segments)
+    def partial(batch: pa.Table) -> pa.Table:
+        t = pa.table({"k": batch.column(key), "v": batch.column(value_col)})
+        t = t.filter(t.column("k").combine_chunks().is_valid())
+        v = t.column("v").combine_chunks()
+        if pa.types.is_timestamp(v.type):
+            v = v.cast(pa.int64())  # µs since epoch as the numeric value
+        cents = pc.cast(
+            pc.floor(pc.multiply(pc.cast(v, pa.float64()), 100.0)),
+            pa.int64(),
         )
-
-        def partial(batch: pa.Table) -> pa.Table:
-            t = pa.table(
-                {"k": batch.column(key), "v": batch.column(value_col)}
-            )
-            t = t.filter(t.column("k").combine_chunks().is_valid())
-            v = t.column("v").combine_chunks()
-            if pa.types.is_timestamp(v.type):
-                v = v.cast(pa.int64())  # µs since epoch as the numeric value
-            cents = pc.cast(
-                pc.floor(pc.multiply(pc.cast(v, pa.float64()), 100.0)),
-                pa.int64(),
-            )
-            g = pa.table(
+        g = _sum_by_k(
+            pa.table(
                 {
                     "k": t.column("k"),
                     "n": pa.array(np.ones(t.num_rows, dtype=np.int64)),
                     "sum_cents": pc.fill_null(cents, 0),
                 }
-            ).group_by("k", use_threads=False).aggregate(
-                [("n", "sum"), ("sum_cents", "sum")]
             )
-            g = pa.table(
-                {
-                    "k": g.column("k"),
-                    "n": g.column("n_sum"),
-                    "sum_cents": g.column("sum_cents_sum"),
-                }
-            )
-            parts = partition_ids(g.column("k"), num_partitions)
-            return g.append_column("_part", pa.array(parts, type=pa.int64()))
-
-        def fold(group: pa.Table) -> pa.Table:
-            part = int(group.column("_part")[0].as_py())
-            st = ManifestStore(lake_root, table)
-            existing = st.get(generation, e, part)
-            if existing is not None:
-                return _stats_row(
-                    table, e, part,
-                    rows=existing.row_count, nbytes=existing.byte_count,
-                    files=len(existing.files), changes_in=group.num_rows,
-                    skipped=True, digest=existing.digest,
-                )
-            changes = group.drop_columns(["_part"])
-            prev = st.latest_snapshot(generation, part, max_epoch=e - 1)
-            pieces = [changes]
-            if prev is not None and prev.files:
-                import pyarrow.parquet as pq
-
-                pieces.append(
-                    pa.concat_tables(
-                        pq.read_table(Path(lake_root) / f) for f in prev.files
-                    )
-                )
-            combined = pa.concat_tables(pieces, promote_options="permissive")
-            merged = combined.group_by("k", use_threads=False).aggregate(
-                [("n", "sum"), ("sum_cents", "sum")]
-            )
-            merged = pa.table(
-                {
-                    "k": merged.column("k"),
-                    "n": merged.column("n_sum"),
-                    "sum_cents": merged.column("sum_cents_sum"),
-                }
-            )
-            # deterministic file bytes: sort by key so replays are
-            # byte-identical regardless of batch arrival order
-            merged = merged.take(
-                pc.sort_indices(merged, sort_keys=[("k", "ascending")])
-            )
-            rel = (
-                f"{table}/gen={generation:04d}/parts/p={part:05d}/"
-                f"e{e:06d}.parquet"
-            )
-            nbytes = _atomic_write_parquet(merged, Path(lake_root) / rel)
-            m = PartitionManifest(
-                table=table,
-                generation=generation,
-                epoch=e,
-                partition=part,
-                files=[rel],
-                row_count=merged.num_rows,
-                byte_count=nbytes,
-                max_seq=-1,
-                digest="",
-                mode="append_dedup",
-                schema_version=0,
-            )
-            st.commit(m)
-            return _stats_row(
-                table, e, part,
-                rows=merged.num_rows, nbytes=nbytes, files=1,
-                changes_in=group.num_rows, skipped=False, digest="",
-            )
-
-        stats = (
-            ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-            .groupby("_part")
-            .map_groups(fold, batch_format="pyarrow")
         )
-        n_parts = stats.count()
-        store.write_checkpoint(generation, e, {"epoch": e})
-        summaries.append({"epoch": e, "partitions": n_parts, "skipped": False})
-    return {"table": table, "epochs": summaries}
+        parts = partition_ids(g.column("k"), num_partitions)
+        return g.append_column("_part", pa.array(parts, type=pa.int64()))
+
+    return maintain_view(
+        lake_root, table, meta["generation"],
+        epochs if epochs is not None else list_epochs(binlog_dir),
+        resume=resume, epoch_input=_binlog_epochs(binlog_dir),
+        partitioner=partial,
+        fold=lambda changes, prev: _fold_sums(lake_root, changes, prev),
+    )
 
 
 def read_agg(lake_root: str, table: str = "agg", *, key_name: str = "k"):
@@ -249,218 +248,159 @@ def run_incremental_sessions(
         view="incremental_sessions",
     )
     num_partitions = meta["num_partitions"]
-    generation = meta["generation"]
 
-    all_epochs = epochs if epochs is not None else list_epochs(binlog_dir)
-    ckpt = store.last_checkpoint(generation) if resume else None
-    start_after = ckpt["epoch"] if ckpt else -1
-
-    summaries = []
-    for e in all_epochs:
-        if e <= start_after:
-            summaries.append({"epoch": e, "skipped": True})
-            continue
-        segments = list_segments(binlog_dir, e)
-        if not segments:
-            continue
-        ds = ray.data.read_parquet(
-            segments, override_num_blocks=len(segments)
+    def route(batch: pa.Table) -> pa.Table:
+        t = pa.table(
+            {
+                "k": batch.column(key),
+                "ts": pc.cast(batch.column(ts_col), pa.int64()),
+                "seq": pc.cast(batch.column(seq), pa.int64()),
+            }
         )
+        t = t.filter(
+            pc.and_(
+                t.column("k").combine_chunks().is_valid(),
+                t.column("ts").combine_chunks().is_valid(),
+            )
+        )
+        parts = partition_ids(t.column("k"), num_partitions)
+        return t.append_column("_part", pa.array(parts, type=pa.int64()))
 
-        def route(batch: pa.Table) -> pa.Table:
-            t = pa.table(
+    def fold(ev: pa.Table, prev) -> list:
+        if prev is not None and prev.files:
+            snap = read_files(lake_root, prev.files)
+        else:
+            snap = pa.table(
                 {
-                    "k": batch.column(key),
-                    "ts": pc.cast(batch.column(ts_col), pa.int64()),
-                    "seq": pc.cast(batch.column(seq), pa.int64()),
+                    "k": pa.array([], ev.schema.field("k").type),
+                    "session_id": pa.array([], pa.int64()),
+                    "session_start": pa.array([], pa.int64()),
+                    "session_end": pa.array([], pa.int64()),
+                    "n_events": pa.array([], pa.int64()),
                 }
             )
-            t = t.filter(
-                pc.and_(
-                    t.column("k").combine_chunks().is_valid(),
-                    t.column("ts").combine_chunks().is_valid(),
-                )
-            )
-            parts = partition_ids(t.column("k"), num_partitions)
-            return t.append_column("_part", pa.array(parts, type=pa.int64()))
-
-        def fold(group: pa.Table) -> pa.Table:
-            part = int(group.column("_part")[0].as_py())
-            st = ManifestStore(lake_root, table)
-            existing = st.get(generation, e, part)
-            if existing is not None:
-                return _stats_row(
-                    table, e, part,
-                    rows=existing.row_count, nbytes=existing.byte_count,
-                    files=len(existing.files), changes_in=group.num_rows,
-                    skipped=True, digest=existing.digest,
-                )
-            ev = group.drop_columns(["_part"])
-            prev = st.latest_snapshot(generation, part, max_epoch=e - 1)
-            if prev is not None and prev.files:
-                import pyarrow.parquet as pq
-
-                snap = pa.concat_tables(
-                    pq.read_table(Path(lake_root) / f) for f in prev.files
-                )
-            else:
-                snap = pa.table(
-                    {
-                        "k": pa.array([], ev.schema.field("k").type),
-                        "session_id": pa.array([], pa.int64()),
-                        "session_start": pa.array([], pa.int64()),
-                        "session_end": pa.array([], pa.int64()),
-                        "n_events": pa.array([], pa.int64()),
-                    }
-                )
-            # split prev into closed rows (pass through) and open rows
-            # (last session per key)
-            sidx = pc.sort_indices(
-                snap,
+        # split prev into closed rows (pass through) and open rows
+        # (last session per key)
+        sidx = pc.sort_indices(
+            snap,
+            sort_keys=[("k", "ascending"), ("session_id", "ascending")],
+        )
+        snap = snap.take(sidx)
+        ns = snap.num_rows
+        sk = snap.column("k").combine_chunks()
+        is_open = np.ones(ns, dtype=bool)
+        if ns > 1:
+            is_open[:-1] = pc.not_equal(
+                sk.slice(1), sk.slice(0, ns - 1)
+            ).to_numpy(zero_copy_only=False)
+        open_rows = snap.filter(pa.array(is_open))
+        closed_rows = snap.filter(pa.array(~is_open))
+        # pseudo-event per open session
+        pseudo = pa.table(
+            {
+                "k": open_rows.column("k"),
+                "ts": open_rows.column("session_end"),
+                "seq": pa.array(
+                    np.full(open_rows.num_rows, -1, dtype=np.int64)
+                ),
+                "c_start": open_rows.column("session_start"),
+                "c_n": open_rows.column("n_events"),
+                "c_sid": open_rows.column("session_id"),
+            }
+        )
+        evx = pa.table(
+            {
+                "k": ev.column("k"),
+                "ts": ev.column("ts"),
+                "seq": ev.column("seq"),
+                "c_start": pa.nulls(ev.num_rows, pa.int64()),
+                "c_n": pa.array(np.ones(ev.num_rows, dtype=np.int64)),
+                "c_sid": pa.nulls(ev.num_rows, pa.int64()),
+            }
+        )
+        allr = pa.concat_tables([pseudo, evx])
+        idx = pc.sort_indices(
+            allr,
+            sort_keys=[
+                ("k", "ascending"),
+                ("ts", "ascending"),
+                ("seq", "ascending"),
+            ],
+        )
+        allr = allr.take(idx)
+        n = allr.num_rows
+        kk = allr.column("k").combine_chunks()
+        ts = allr.column("ts").to_numpy(zero_copy_only=False)
+        keychg = np.ones(n, dtype=bool)
+        if n > 1:
+            keychg[1:] = pc.not_equal(
+                kk.slice(1), kk.slice(0, n - 1)
+            ).to_numpy(zero_copy_only=False)
+        gap = np.ones(n, dtype=bool)
+        if n > 1:
+            gap[1:] = (ts[1:] - ts[:-1]) > gap_us
+        newseg = keychg | gap
+        si = np.flatnonzero(newseg)
+        ei = np.r_[si[1:], n] - 1
+        # nullable int64 columns surface as float64-with-nan; all
+        # selected values below are integral floats < 2^53, so the
+        # final int64 casts are exact
+        c_sid = allr.column("c_sid").to_numpy(zero_copy_only=False)
+        c_start = allr.column("c_start").to_numpy(zero_copy_only=False)
+        c_n = allr.column("c_n").to_numpy(zero_copy_only=False)
+        sq = allr.column("seq").to_numpy(zero_copy_only=False)
+        starts_pseudo = sq[si] == -1
+        # per-key segment ordinal: segments since the key's first
+        # segment (a segment starts a key iff its first row does)
+        seg_is_keystart = keychg[si]
+        nseg = len(si)
+        fk = np.maximum.accumulate(
+            np.where(seg_is_keystart, np.arange(nseg), -1)
+        )
+        seg_ord = np.arange(nseg) - fk
+        # base sid per KEY: continuing an open session (its first row
+        # is the pseudo-event) starts numbering at that session's id;
+        # a fresh key starts at 1
+        key_start_rows = si[seg_is_keystart]
+        base_per_key = np.where(
+            sq[key_start_rows] == -1,
+            np.nan_to_num(c_sid[key_start_rows], nan=1.0) - 1.0,
+            0.0,
+        ).astype(np.int64)
+        key_of_seg = np.cumsum(seg_is_keystart) - 1
+        sid = base_per_key[key_of_seg] + seg_ord + 1
+        seg_start = np.where(
+            starts_pseudo, np.nan_to_num(c_start[si], nan=0.0), ts[si]
+        ).astype(np.int64)
+        seg_end = ts[ei]
+        # n_events: sum c_n per segment
+        seg_n = np.add.reduceat(c_n, si) if len(si) else np.array(
+            [], dtype=np.int64
+        )
+        new_sessions = pa.table(
+            {
+                "k": kk.take(pa.array(si, type=pa.int64())),
+                "session_id": pa.array(sid, type=pa.int64()),
+                "session_start": pa.array(seg_start, type=pa.int64()),
+                "session_end": pa.array(seg_end, type=pa.int64()),
+                "n_events": pa.array(seg_n, type=pa.int64()),
+            }
+        )
+        merged = pa.concat_tables([closed_rows, new_sessions])
+        merged = merged.take(
+            pc.sort_indices(
+                merged,
                 sort_keys=[("k", "ascending"), ("session_id", "ascending")],
             )
-            snap = snap.take(sidx)
-            ns = snap.num_rows
-            sk = snap.column("k").combine_chunks()
-            is_open = np.ones(ns, dtype=bool)
-            if ns > 1:
-                is_open[:-1] = pc.not_equal(
-                    sk.slice(1), sk.slice(0, ns - 1)
-                ).to_numpy(zero_copy_only=False)
-            open_rows = snap.filter(pa.array(is_open))
-            closed_rows = snap.filter(pa.array(~is_open))
-            # pseudo-event per open session
-            pseudo = pa.table(
-                {
-                    "k": open_rows.column("k"),
-                    "ts": open_rows.column("session_end"),
-                    "seq": pa.array(
-                        np.full(open_rows.num_rows, -1, dtype=np.int64)
-                    ),
-                    "c_start": open_rows.column("session_start"),
-                    "c_n": open_rows.column("n_events"),
-                    "c_sid": open_rows.column("session_id"),
-                }
-            )
-            evx = pa.table(
-                {
-                    "k": ev.column("k"),
-                    "ts": ev.column("ts"),
-                    "seq": ev.column("seq"),
-                    "c_start": pa.nulls(ev.num_rows, pa.int64()),
-                    "c_n": pa.array(np.ones(ev.num_rows, dtype=np.int64)),
-                    "c_sid": pa.nulls(ev.num_rows, pa.int64()),
-                }
-            )
-            allr = pa.concat_tables([pseudo, evx])
-            idx = pc.sort_indices(
-                allr,
-                sort_keys=[
-                    ("k", "ascending"),
-                    ("ts", "ascending"),
-                    ("seq", "ascending"),
-                ],
-            )
-            allr = allr.take(idx)
-            n = allr.num_rows
-            kk = allr.column("k").combine_chunks()
-            ts = allr.column("ts").to_numpy(zero_copy_only=False)
-            keychg = np.ones(n, dtype=bool)
-            if n > 1:
-                keychg[1:] = pc.not_equal(
-                    kk.slice(1), kk.slice(0, n - 1)
-                ).to_numpy(zero_copy_only=False)
-            gap = np.ones(n, dtype=bool)
-            if n > 1:
-                gap[1:] = (ts[1:] - ts[:-1]) > gap_us
-            newseg = keychg | gap
-            si = np.flatnonzero(newseg)
-            ei = np.r_[si[1:], n] - 1
-            # nullable int64 columns surface as float64-with-nan; all
-            # selected values below are integral floats < 2^53, so the
-            # final int64 casts are exact
-            c_sid = allr.column("c_sid").to_numpy(zero_copy_only=False)
-            c_start = allr.column("c_start").to_numpy(zero_copy_only=False)
-            c_n = allr.column("c_n").to_numpy(zero_copy_only=False)
-            sq = allr.column("seq").to_numpy(zero_copy_only=False)
-            starts_pseudo = sq[si] == -1
-            # per-key segment ordinal: segments since the key's first
-            # segment (a segment starts a key iff its first row does)
-            seg_is_keystart = keychg[si]
-            nseg = len(si)
-            fk = np.maximum.accumulate(
-                np.where(seg_is_keystart, np.arange(nseg), -1)
-            )
-            seg_ord = np.arange(nseg) - fk
-            # base sid per KEY: continuing an open session (its first row
-            # is the pseudo-event) starts numbering at that session's id;
-            # a fresh key starts at 1
-            key_start_rows = si[seg_is_keystart]
-            base_per_key = np.where(
-                sq[key_start_rows] == -1,
-                np.nan_to_num(c_sid[key_start_rows], nan=1.0) - 1.0,
-                0.0,
-            ).astype(np.int64)
-            key_of_seg = np.cumsum(seg_is_keystart) - 1
-            sid = base_per_key[key_of_seg] + seg_ord + 1
-            seg_start = np.where(
-                starts_pseudo, np.nan_to_num(c_start[si], nan=0.0), ts[si]
-            ).astype(np.int64)
-            seg_end = ts[ei]
-            # n_events: sum c_n per segment
-            seg_n = np.add.reduceat(c_n, si) if len(si) else np.array(
-                [], dtype=np.int64
-            )
-            new_sessions = pa.table(
-                {
-                    "k": kk.take(pa.array(si, type=pa.int64())),
-                    "session_id": pa.array(sid, type=pa.int64()),
-                    "session_start": pa.array(seg_start, type=pa.int64()),
-                    "session_end": pa.array(seg_end, type=pa.int64()),
-                    "n_events": pa.array(seg_n, type=pa.int64()),
-                }
-            )
-            merged = pa.concat_tables([closed_rows, new_sessions])
-            merged = merged.take(
-                pc.sort_indices(
-                    merged,
-                    sort_keys=[("k", "ascending"), ("session_id", "ascending")],
-                )
-            )
-            rel = (
-                f"{table}/gen={generation:04d}/parts/p={part:05d}/"
-                f"e{e:06d}.parquet"
-            )
-            nbytes = _atomic_write_parquet(merged, Path(lake_root) / rel)
-            m = PartitionManifest(
-                table=table,
-                generation=generation,
-                epoch=e,
-                partition=part,
-                files=[rel],
-                row_count=merged.num_rows,
-                byte_count=nbytes,
-                max_seq=-1,
-                digest="",
-                mode="append_dedup",
-                schema_version=0,
-            )
-            st.commit(m)
-            return _stats_row(
-                table, e, part,
-                rows=merged.num_rows, nbytes=nbytes, files=1,
-                changes_in=group.num_rows, skipped=False, digest="",
-            )
-
-        stats = (
-            ds.map_batches(route, batch_format="pyarrow", batch_size=None)
-            .groupby("_part")
-            .map_groups(fold, batch_format="pyarrow")
         )
-        n_parts = stats.count()
-        store.write_checkpoint(generation, e, {"epoch": e})
-        summaries.append({"epoch": e, "partitions": n_parts, "skipped": False})
-    return {"table": table, "epochs": summaries}
+        return [("", merged)]
+
+    return maintain_view(
+        lake_root, table, meta["generation"],
+        epochs if epochs is not None else list_epochs(binlog_dir),
+        resume=resume, epoch_input=_binlog_epochs(binlog_dir),
+        partitioner=route, fold=fold,
+    )
 
 
 def run_incremental_state_agg(
@@ -516,9 +456,6 @@ def run_incremental_state_agg(
         view="incremental_state_agg",
     )
     num_partitions = meta["num_partitions"]
-    generation = meta["generation"]
-    ckpt = store.last_checkpoint(generation) if resume else None
-    start_after = ckpt["epoch"] if ckpt else -1
 
     go, gn = f"{group_col}_old", f"{group_col}_new"
     vo, vn = f"{value_col}_old", f"{value_col}_new"
@@ -577,106 +514,20 @@ def run_incremental_state_agg(
                     "_part": pa.array([], type=pa.int64()),
                 }
             )
-        t = pa.concat_tables(pieces)
-        g = t.group_by("k", use_threads=False).aggregate(
-            [("n", "sum"), ("sum_cents", "sum")]
-        )
-        g = pa.table(
-            {
-                "k": g.column("k"),
-                "n": g.column("n_sum"),
-                "sum_cents": g.column("sum_cents_sum"),
-            }
-        )
+        g = _sum_by_k(pa.concat_tables(pieces))
         parts = partition_ids(g.column("k"), num_partitions)
         return g.append_column("_part", pa.array(parts, type=pa.int64()))
 
-    summaries = []
-    for e in epochs:
-        if e <= start_after:
-            summaries.append({"epoch": e, "skipped": True})
-            continue
-        cf = change_feed(
-            lake_root, row_table, epoch=e,
-            compare_cols=[group_col, value_col],
-        )
-
-        def fold(group: pa.Table, _e=e) -> pa.Table:
-            part = int(group.column("_part")[0].as_py())
-            st = ManifestStore(lake_root, table)
-            existing = st.get(generation, _e, part)
-            if existing is not None:
-                return _stats_row(
-                    table, _e, part,
-                    rows=existing.row_count, nbytes=existing.byte_count,
-                    files=len(existing.files), changes_in=group.num_rows,
-                    skipped=True, digest=existing.digest,
-                )
-            changes = group.drop_columns(["_part"])
-            prev = st.latest_snapshot(generation, part, max_epoch=_e - 1)
-            pieces = [changes]
-            if prev is not None and prev.files:
-                import pyarrow.parquet as pq
-
-                pieces.append(
-                    pa.concat_tables(
-                        pq.read_table(Path(lake_root) / f)
-                        for f in prev.files
-                    )
-                )
-            combined = pa.concat_tables(pieces, promote_options="permissive")
-            merged = combined.group_by("k", use_threads=False).aggregate(
-                [("n", "sum"), ("sum_cents", "sum")]
-            )
-            merged = pa.table(
-                {
-                    "k": merged.column("k"),
-                    "n": merged.column("n_sum"),
-                    "sum_cents": merged.column("sum_cents_sum"),
-                }
-            )
-            # retractions can empty a group: drop n==0 rows (one-shot
-            # GROUP BY has no such group)
-            merged = merged.filter(
-                pc.not_equal(merged.column("n"), 0)
-            )
-            merged = merged.take(
-                pc.sort_indices(merged, sort_keys=[("k", "ascending")])
-            )
-            rel = (
-                f"{table}/gen={generation:04d}/parts/p={part:05d}/"
-                f"e{_e:06d}.parquet"
-            )
-            nbytes = _atomic_write_parquet(merged, Path(lake_root) / rel)
-            m = PartitionManifest(
-                table=table,
-                generation=generation,
-                epoch=_e,
-                partition=part,
-                files=[rel],
-                row_count=merged.num_rows,
-                byte_count=nbytes,
-                max_seq=-1,
-                digest="",
-                mode="append_dedup",
-                schema_version=0,
-            )
-            st.commit(m)
-            return _stats_row(
-                table, _e, part,
-                rows=merged.num_rows, nbytes=nbytes, files=1,
-                changes_in=group.num_rows, skipped=False, digest="",
-            )
-
-        stats = (
-            cf.map_batches(partial, batch_format="pyarrow", batch_size=None)
-            .groupby("_part")
-            .map_groups(fold, batch_format="pyarrow")
-        )
-        n_parts = stats.count()
-        store.write_checkpoint(generation, e, {"epoch": e})
-        summaries.append({"epoch": e, "partitions": n_parts, "skipped": False})
-    return {"table": table, "epochs": summaries}
+    return maintain_view(
+        lake_root, table, meta["generation"], epochs, resume=resume,
+        epoch_input=lambda e: change_feed(
+            lake_root, row_table, epoch=e, compare_cols=[group_col, value_col]
+        ),
+        partitioner=partial,
+        fold=lambda changes, prev: _fold_sums(
+            lake_root, changes, prev, drop_empty=True
+        ),
+    )
 
 
 def run_incremental_quantile_view(
@@ -724,10 +575,6 @@ def run_incremental_quantile_view(
         view="incremental_quantile",
     )
     num_partitions = meta["num_partitions"]
-    generation = meta["generation"]
-    all_epochs = epochs if epochs is not None else list_epochs(binlog_dir)
-    ckpt = store.last_checkpoint(generation) if resume else None
-    start_after = ckpt["epoch"] if ckpt else -1
 
     def partial(batch: pa.Table) -> pa.Table:
         v = batch.column(value_col).combine_chunks()
@@ -768,91 +615,45 @@ def run_incremental_quantile_view(
             }
         )
 
-    summaries = []
-    for e in all_epochs:
-        if e <= start_after:
-            summaries.append({"epoch": e, "skipped": True})
-            continue
-        segments = list_segments(binlog_dir, e)
-        if not segments:
-            continue
-        ds = ray.data.read_parquet(
-            segments, override_num_blocks=len(segments)
-        )
-
-        def fold(group: pa.Table, _e=e) -> pa.Table:
-            part = int(group.column("_part")[0].as_py())
-            st = ManifestStore(lake_root, table)
-            existing = st.get(generation, _e, part)
-            if existing is not None:
-                return _stats_row(
-                    table, _e, part,
-                    rows=existing.row_count, nbytes=existing.byte_count,
-                    files=len(existing.files), changes_in=group.num_rows,
-                    skipped=True, digest=existing.digest,
-                )
-            prev = st.latest_snapshot(generation, part, max_epoch=_e - 1)
-            state: dict = {}
-            if prev is not None and prev.files:
-                import pyarrow.parquet as pq
-
-                old = pa.concat_tables(
-                    pq.read_table(Path(lake_root) / f) for f in prev.files
-                )
-                for kk, buf in zip(
-                    old.column("k").to_pylist(),
-                    old.column("_digest").to_pylist(),
-                ):
-                    state[kk] = qdigest_unpack(buf)
+    def fold(group: pa.Table, prev) -> list:
+        state: dict = {}
+        if prev is not None and prev.files:
+            old = read_files(lake_root, prev.files)
             for kk, buf in zip(
-                group.column("k").to_pylist(),
-                group.column("_digest").to_pylist(),
+                old.column("k").to_pylist(),
+                old.column("_digest").to_pylist(),
             ):
-                d = qdigest_unpack(buf)
-                state[kk] = (
-                    qdigest_merge(state[kk], d, delta)
-                    if kk in state
-                    else d
-                )
-            keys_sorted = sorted(state)
-            merged = pa.table(
-                {
-                    "k": pa.array(
-                        keys_sorted, type=group.schema.field("k").type
-                    ),
-                    "_digest": pa.array(
-                        [qdigest_pack(state[kk]) for kk in keys_sorted],
-                        type=pa.binary(),
-                    ),
-                }
+                state[kk] = qdigest_unpack(buf)
+        for kk, buf in zip(
+            group.column("k").to_pylist(),
+            group.column("_digest").to_pylist(),
+        ):
+            d = qdigest_unpack(buf)
+            state[kk] = (
+                qdigest_merge(state[kk], d, delta)
+                if kk in state
+                else d
             )
-            rel = (
-                f"{table}/gen={generation:04d}/parts/p={part:05d}/"
-                f"e{_e:06d}.parquet"
-            )
-            nbytes = _atomic_write_parquet(merged, Path(lake_root) / rel)
-            m = PartitionManifest(
-                table=table, generation=generation, epoch=_e,
-                partition=part, files=[rel], row_count=merged.num_rows,
-                byte_count=nbytes, max_seq=-1, digest="",
-                mode="append_dedup", schema_version=0,
-            )
-            st.commit(m)
-            return _stats_row(
-                table, _e, part,
-                rows=merged.num_rows, nbytes=nbytes, files=1,
-                changes_in=group.num_rows, skipped=False, digest="",
-            )
-
-        stats = (
-            ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-            .groupby("_part")
-            .map_groups(fold, batch_format="pyarrow")
+        keys_sorted = sorted(state)
+        merged = pa.table(
+            {
+                "k": pa.array(
+                    keys_sorted, type=group.schema.field("k").type
+                ),
+                "_digest": pa.array(
+                    [qdigest_pack(state[kk]) for kk in keys_sorted],
+                    type=pa.binary(),
+                ),
+            }
         )
-        n_parts = stats.count()
-        store.write_checkpoint(generation, e, {"epoch": e})
-        summaries.append({"epoch": e, "partitions": n_parts, "skipped": False})
-    return {"table": table, "epochs": summaries}
+        return [("", merged)]
+
+    return maintain_view(
+        lake_root, table, meta["generation"],
+        epochs if epochs is not None else list_epochs(binlog_dir),
+        resume=resume, epoch_input=_binlog_epochs(binlog_dir),
+        partitioner=partial, fold=fold,
+    )
 
 
 def read_quantile_view(

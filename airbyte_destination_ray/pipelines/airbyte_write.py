@@ -38,7 +38,6 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, TextIO
 
 import pyarrow as pa
@@ -48,7 +47,7 @@ from ..catalog import Catalog, Config, ConfiguredStream, SyncMode
 from ..functions.ids import raw_ids_for_batch
 from ..protocol import MESSAGE_TYPE_RECORD, MESSAGE_TYPE_STATE, iter_messages
 from ..schema import EXTRACTED_AT_COLUMN, RAW_ID_COLUMN, is_json_property, property_spec_from_json
-from ..stages.lww import make_partition_merger, make_partitioner
+from ..stages.lww import commit_epoch, make_partition_merger, make_partitioner
 from ..state.manifest import ManifestStore
 
 import numpy as np
@@ -311,7 +310,6 @@ class AirbyteWriter:
         # with a different count would split a PK across partitions
         table_partitions = self.table_meta[table]["num_partitions"]
 
-        ds = ray.data.from_arrow(batch)
         partitioner = make_partitioner(
             pk,
             table_partitions,
@@ -331,12 +329,15 @@ class AirbyteWriter:
             strategy="delta",
             compact_every=16,
         )
-        stats = (
-            ds.map_batches(partitioner, batch_format="pyarrow", batch_size=None)
-            .groupby("_part")
-            .map_groups(merger, batch_format="pyarrow")
+        # no checkpoint here: the barrier is written at the next STATE
+        commit_epoch(
+            ManifestStore(self.config.lake_root, table),
+            ray.data.from_arrow(batch),
+            partitioner=partitioner,
+            merger=merger,
+            generation=self.generations[table],
+            epoch=self.flush_epoch,
         )
-        stats.count()  # execute
         self.flush_epoch += 1
         self.result.flushes += 1
 
@@ -555,6 +556,8 @@ def run_write_dataset(
         )
         return merger(typed)
 
+    # own exchange, not commit_epoch: one job spans every table, and each
+    # table gets its own checkpoint (partitions still commit via the merger)
     stats = (
         read_records_dataset(paths)
         .map_batches(route, batch_format="pyarrow", batch_size=None)

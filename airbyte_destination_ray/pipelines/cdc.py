@@ -4,12 +4,14 @@ Engine equivalent of the reference's ``write`` command (SURVEY.md §3.1): per
 epoch (the STATE-barrier analog, destination.go:402-420):
 
     read_parquet(epoch's binlog segments)            # parallel, column-pruned
+    commit_epoch(store, ds, partitioner, merger):    # stages/lww.py
       → map_batches(partitioner)                     # envelope→lake rows, _part
                                                      #   + per-batch LWW pre-reduce
-      → groupby("_part").map_groups(merger)          # hash shuffle + per-partition
-                                                     #   merge/commit (exactly-once)
-      → stats Dataset (small)                        # per-partition lineage row
-    checkpoint(epoch)                                # only after all commits
+      → groupby("_part").map_groups(merger)          # hash shuffle; per partition
+                                                     #   merge → commit_partition
+                                                     #   (manifest CAS, exactly-once)
+      → stats table (small)                          # per-partition lineage row
+      → checkpoint(epoch)                            # only after all commits
 
 Epochs run sequentially (an epoch is a barrier by definition); everything
 within an epoch streams through Ray Data with backpressure.  The heavy data
@@ -31,11 +33,14 @@ from ..sources.synth import list_epochs, list_segments
 from ..stages.lww import (
     DELETED_COLUMN,
     SEQ_COLUMN,
-    STATS_SCHEMA,
     _align_lake_table,
+    commit_epoch,
+    commit_partition,
     make_envelope_aligner,
     make_partition_merger,
     make_partitioner,
+    read_files,
+    stats_sum,
 )
 from ..state.manifest import (
     ManifestStore,
@@ -67,7 +72,6 @@ def run_cdc_sync(
     compact_every: int = 8,
     shuffle: str = "payload",
     key_only_max_winners: int = 20_000_000,
-    profile: bool = False,
     expectations: list[tuple] | None = None,
 ) -> dict:
     """Run (or resume) a sync of the binlog into the lake table.
@@ -95,7 +99,8 @@ def run_cdc_sync(
       20M seqs ≈ 160 MB broadcast) falls back to the payload shuffle for
       that epoch instead of building an unbounded driver allocation.  Also
       falls back for epochs needing in-flight schema alignment (renames may
-      touch the key columns themselves).
+      touch the key columns themselves).  Each fresh epoch's summary names
+      the exchange it actually ran: ``"shuffle": "key_only" | "payload"``.
     """
     if shuffle not in ("payload", "key_only"):
         raise ValueError(f"shuffle must be payload|key_only, got {shuffle!r}")
@@ -193,6 +198,7 @@ def run_cdc_sync(
             ds = ds.map_batches(
                 keep_valid, batch_format="pyarrow", batch_size=None
             )
+        epoch_shuffle = "payload"
         if (
             shuffle == "key_only"
             and mode == "append_dedup"
@@ -208,15 +214,14 @@ def run_cdc_sync(
                 segments, pk=pk, ver=ver, num_partitions=num_partitions,
                 max_winners=key_only_max_winners,
             )
-            if winners is None:
-                # winner set over the broadcast budget → payload shuffle
-                # for this epoch (correct either way; key_only is purely an
-                # exchange-volume optimization)
-                pass
-            else:
+            # winners None = over the broadcast budget → payload shuffle for
+            # this epoch (correct either way; key_only is purely an
+            # exchange-volume optimization)
+            if winners is not None:
                 # broadcast membership filter (shared helper): keep only
                 # rows whose seq won pass 1
                 ds = semi_join(ds, winners, on="seq")
+                epoch_shuffle = "key_only"
         partitioner = make_partitioner(
             pk,
             num_partitions,
@@ -242,43 +247,24 @@ def run_cdc_sync(
             strategy=merge_strategy,
             compact_every=compact_every,
         )
-        stats = (
-            # batch_size=None → whole-block zero-copy Arrow batches; bigger
-            # batches also sharpen the pre-reduce (more duplicates per batch)
-            ds.map_batches(partitioner, batch_format="pyarrow", batch_size=None)
-            .groupby("_part")
-            .map_groups(merger, batch_format="pyarrow")
+        stats_t = commit_epoch(
+            store, ds, partitioner=partitioner, merger=merger,
+            generation=generation, epoch=e,
+            checkpoint={"segments": [str(Path(s).name) for s in segments]},
         )
-        batches = list(stats.iter_batches(batch_format="pyarrow"))
-        stats_t = pa.concat_tables(batches) if batches else STATS_SCHEMA.empty_table()
-        changes = int(pc.sum(stats_t.column("changes_in")).as_py() or 0)
-        rows = int(pc.sum(stats_t.column("rows")).as_py() or 0)
+        changes = stats_sum(stats_t, "changes_in")
         total_changes += changes
-        # the S6 barrier: checkpoint only after every partition committed
-        store.write_checkpoint(
-            generation,
-            e,
-            {
-                "partitions": stats_t.num_rows,
-                "changes_in": changes,
-                "rows": rows,
-                "segments": [str(Path(s).name) for s in segments],
-            },
-        )
         epoch_summary = {
             "epoch": e,
             "skipped": False,
             "partitions": stats_t.num_rows,
             "changes_in": changes,
-            "rows": rows,
+            "rows": stats_sum(stats_t, "rows"),
+            "shuffle": epoch_shuffle,
             "wall_sec": round(time.perf_counter() - t_epoch, 3),
         }
         if expectations:
             epoch_summary["quarantined"] = quarantined
-        if profile:
-            # per-stage wall/cpu/row breakdown from Ray Data's executor —
-            # the "read ds.stats() and iterate" feedback loop as data
-            epoch_summary["ray_stats"] = stats.stats()
         epoch_summaries.append(epoch_summary)
 
     return {
@@ -401,34 +387,18 @@ def apply_changes(
         strategy=meta.get("merge_strategy", "snapshot"),
         compact_every=meta.get("compact_every", 8),
     )
-    stats = (
-        env.map_batches(partitioner, batch_format="pyarrow", batch_size=None)
-        .groupby("_part")
-        .map_groups(merger, batch_format="pyarrow")
-    )
-    batches = list(stats.iter_batches(batch_format="pyarrow"))
-    stats_t = (
-        pa.concat_tables(batches) if batches else STATS_SCHEMA.empty_table()
-    )
-    changes_in = int(pc.sum(stats_t.column("changes_in")).as_py() or 0)
-    rows = int(pc.sum(stats_t.column("rows")).as_py() or 0)
-    store.write_checkpoint(
-        generation,
-        e,
-        {
-            "partitions": stats_t.num_rows,
-            "changes_in": changes_in,
-            "rows": rows,
-            "segments": ["<apply_changes>"],
-        },
+    stats_t = commit_epoch(
+        store, env, partitioner=partitioner, merger=merger,
+        generation=generation, epoch=e,
+        checkpoint={"segments": ["<apply_changes>"]},
     )
     return {
         "table": table,
         "generation": generation,
         "epoch": e,
         "partitions": stats_t.num_rows,
-        "changes_in": changes_in,
-        "rows": rows,
+        "changes_in": stats_sum(stats_t, "changes_in"),
+        "rows": stats_sum(stats_t, "rows"),
     }
 
 
@@ -540,6 +510,7 @@ def _epoch_winner_seqs(
         g = lww_compact(group.drop_columns(["_part"]), pks, ver, SEQ_COLUMN)
         return g.select([SEQ_COLUMN])
 
+    # own exchange, not commit_epoch: pass 1 selects winners, commits nothing
     out = (
         ds.map_batches(route, batch_format="pyarrow", batch_size=None)
         .groupby("_part")
@@ -817,15 +788,11 @@ def compact_table(lake_root: str, table: str) -> dict:
     )
 
     def compact_one(batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-
         out = []
         for r in batch.to_pylist():
-            stack = pa.concat_tables(
-                pq.read_table(Path(lake_root) / f) for f in r["files"]
-            )
             stack = _align_lake_table(
-                stack, lake_root, table, r["schema_version"], target_version
+                read_files(lake_root, r["files"]),
+                lake_root, table, r["schema_version"], target_version
             )
             stack = stack.append_column(
                 "_part",
@@ -902,13 +869,7 @@ def cluster_table(
     degrade it.  Delta-strategy stacks fold (LWW) before sorting —
     clustering doubles as compaction there.
     """
-    from ..state.manifest import PartitionManifest
-    from ..stages.lww import (
-        _atomic_write_parquet,
-        _file_column_stats,
-        _table_digest,
-        lww_compact,
-    )
+    from ..stages.lww import _table_digest, lww_compact
 
     store = ManifestStore(lake_root, table)
     meta = store.table_meta()
@@ -923,42 +884,27 @@ def cluster_table(
         pk = pk[0]
     is_delta = meta.get("merge_strategy") == "delta"
     manifests = store._iter_manifests(gen)
-    stacks = [
-        {
-            "partition": p,
-            "files": list(m.files),
-            "schema_version": m.schema_version,
-            "covers_epoch": m.effective_epoch,
-            "row_count": m.row_count,
-            "max_seq": m.max_seq,
-        }
-        for p, m in sorted(resolve_state(manifests).items())
-        if m.files
-    ]
-    if not stacks:
+    state = {p: m for p, m in resolve_state(manifests).items() if m.files}
+    if not state:
         return {"clustered_partitions": 0}
     next_epoch = next_lane_epoch(manifests)
     schema_store = SchemaStore(lake_root, table)
     target_version = (
         schema_store.current_version()
         if schema_store.exists()
-        else max(s["schema_version"] for s in stacks)
+        else max(m.schema_version for m in state.values())
     )
 
     def cluster_one(batch: pa.Table) -> pa.Table:
         import math
 
         import numpy as np
-        import pyarrow.parquet as pq
 
-        out_rows = []
-        for r in batch.to_pylist():
-            part = r["partition"]
-            t = pa.concat_tables(
-                pq.read_table(Path(lake_root) / f) for f in r["files"]
-            )
+        def fold(prev):
+            # the driver's winning manifest: the stack below IS the state
             t = _align_lake_table(
-                t, lake_root, table, r["schema_version"], target_version
+                read_files(lake_root, prev.files),
+                lake_root, table, prev.schema_version, target_version,
             )
             if is_delta:
                 t = lww_compact(t, pk, ver, SEQ_COLUMN)
@@ -972,39 +918,29 @@ def cluster_table(
             n = t.num_rows
             n_files = max(1, math.ceil(n / target_rows_per_file))
             step = math.ceil(n / n_files) if n else 0
-            files: list[str] = []
-            file_stats: dict = {}
-            nbytes = 0
-            for j in range(n_files):
-                piece = t.slice(j * step, step) if n else t
-                rel = (
-                    f"{table}/gen={gen:04d}/parts/p={part:05d}/"
-                    f"e{next_epoch:06d}-c{j:03d}.parquet"
-                )
-                nbytes += _atomic_write_parquet(piece, Path(lake_root) / rel)
-                file_stats[rel] = _file_column_stats(piece)
-                files.append(rel)
-            m = PartitionManifest(
-                table=table,
-                generation=gen,
-                epoch=next_epoch,
-                partition=part,
-                files=files,
+            pieces = [
+                (f"-c{j:03d}", t.slice(j * step, step) if n else t)
+                for j in range(n_files)
+            ]
+            return pieces, dict(
                 row_count=n,
-                byte_count=nbytes,
-                max_seq=r["max_seq"],
+                max_seq=prev.max_seq,
                 digest=_table_digest(t),
-                mode="append_dedup",
                 schema_version=target_version,
-                covers_epoch=r["covers_epoch"],
-                stats=file_stats,
+                covers_epoch=prev.effective_epoch,
             )
-            ManifestStore(lake_root, table).commit(m)
-            out_rows.append({"partition": part, "n_files": n_files, "rows": n})
-        return pa.Table.from_pylist(out_rows)
+
+        return pa.concat_tables(
+            commit_partition(
+                lake_root, table, generation=gen, epoch=next_epoch,
+                partition=r["partition"], changes_in=0, fold=fold,
+                prev=state[r["partition"]],
+            )
+            for r in batch.to_pylist()
+        )
 
     res = ray.data.from_items(
-        stacks, override_num_blocks=len(stacks)
+        [{"partition": p} for p in sorted(state)], override_num_blocks=len(state)
     ).map_batches(cluster_one, batch_format="pyarrow", batch_size=None)
     n = res.count()
     return {"clustered_partitions": n, "epoch": next_epoch, "by": by}
@@ -1330,16 +1266,13 @@ def delete_rows(lake_root: str, table: str, keys) -> dict:
 
     def delete_one(batch: pa.Table) -> pa.Table:
         import numpy as np
-        import pyarrow.parquet as pq
 
         key_set = ray.get(keys_ref)
         out = []
         for r in batch.to_pylist():
-            stack = pa.concat_tables(
-                pq.read_table(Path(lake_root) / f) for f in r["files"]
-            )
             stack = _align_lake_table(
-                stack, lake_root, table, r["schema_version"], target_version
+                read_files(lake_root, r["files"]),
+                lake_root, table, r["schema_version"], target_version,
             )
             col = stack.column(pk_col)
             if isinstance(col, pa.ChunkedArray):
@@ -1771,30 +1704,13 @@ def repartition_table(
                 else 0
             ),
         )
-        stats = (
-            snap.map_batches(
-                partitioner, batch_format="pyarrow", batch_size=None
-            )
-            .groupby("_part")
-            .map_groups(merger, batch_format="pyarrow")
+        stats_t = commit_epoch(
+            store, snap, partitioner=partitioner, merger=merger,
+            generation=staged, epoch=rebuild_epoch,
+            checkpoint={"segments": [f"<repartition {meta['num_partitions']}->"
+                                     f"{new_partitions}>"]},
         )
-        batches = list(stats.iter_batches(batch_format="pyarrow"))
-        stats_t = (
-            pa.concat_tables(batches)
-            if batches
-            else STATS_SCHEMA.empty_table()
-        )
-        rows = int(pc.sum(stats_t.column("rows")).as_py() or 0)
-        store.write_checkpoint(
-            staged,
-            rebuild_epoch,
-            {
-                "partitions": stats_t.num_rows,
-                "rows": rows,
-                "segments": [f"<repartition {meta['num_partitions']}->"
-                             f"{new_partitions}>"],
-            },
-        )
+        rows = stats_sum(stats_t, "rows")
     except Exception:
         wap_abort(lake_root, table)
         store.update_meta(repartition_target=None)
@@ -2225,17 +2141,14 @@ def _commit_quarantine_epoch(
         ver=ver,
         compute_digest=False,
     )
-    stats = (
-        ds.map_batches(keep_failed, batch_format="pyarrow", batch_size=None)
-        .map_batches(partitioner, batch_format="pyarrow", batch_size=None)
-        .groupby("_part")
-        .map_groups(merger, batch_format="pyarrow")
+    # no checkpoint: the main lane's epoch barrier covers this lane too
+    stats_t = commit_epoch(
+        qstore,
+        ds.map_batches(keep_failed, batch_format="pyarrow", batch_size=None),
+        partitioner=partitioner, merger=merger,
+        generation=qmeta["generation"], epoch=epoch,
     )
-    batches = list(stats.iter_batches(batch_format="pyarrow"))
-    if not batches:
-        return 0
-    stats_t = pa.concat_tables(batches)
-    return int(pc.sum(stats_t.column("changes_in")).as_py() or 0)
+    return stats_sum(stats_t, "changes_in")
 
 
 def consistent_snapshot_epoch(lake_root: str, tables: list[str]) -> int:

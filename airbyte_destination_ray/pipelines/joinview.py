@@ -45,8 +45,9 @@ import ray.data
 
 from ..functions.hashing import partition_ids
 from ..sources.synth import list_epochs, list_segments
-from ..stages.lww import _atomic_write_parquet, _stats_row, lww_compact
-from ..state.manifest import ManifestStore, PartitionManifest
+from ..stages.lww import lww_compact
+from ..state.manifest import ManifestStore
+from .aggview import maintain_view
 
 FACT_COLS = ["event_id", "ts", "user_id", "value"]
 DIM_ATTRS = ["last_event_type", "last_value_cents"]
@@ -212,176 +213,107 @@ def run_incremental_join_view(
         view="incremental_join",
     )
     num_partitions = meta["num_partitions"]
-    generation = meta["generation"]
 
     fact_epochs = set(list_epochs(fact_binlog))
     dim_epochs = set(list_epochs(dim_binlog))
-    all_epochs = (
-        epochs if epochs is not None
-        else sorted(fact_epochs | dim_epochs)
-    )
-    ckpt = store.last_checkpoint(generation) if resume else None
-    start_after = ckpt["epoch"] if ckpt else -1
 
-    summaries = []
-    for e in all_epochs:
-        if e <= start_after:
-            summaries.append({"epoch": e, "skipped": True})
-            continue
-        pieces = []
-        if e in fact_epochs:
-            segs = list_segments(fact_binlog, e)
-            if segs:
-                pieces.append(
-                    (0, ray.data.read_parquet(
-                        segs, override_num_blocks=len(segs)))
-                )
-        if e in dim_epochs:
-            segs = list_segments(dim_binlog, e)
-            if segs:
-                pieces.append(
-                    (1, ray.data.read_parquet(
-                        segs, override_num_blocks=len(segs)))
-                )
-        if not pieces:
-            continue
+    def envelope(side):
+        def fn(batch: pa.Table) -> pa.Table:
+            n = batch.num_rows
+            key = batch.column("user_id")
+            out = {
+                "_side": pa.array(np.full(n, side, dtype=np.int8)),
+                "seq": batch.column("seq"),
+                "op": batch.column("op"),
+                "user_id": key,
+            }
+            if side == 0:
+                out["event_id"] = batch.column("event_id")
+                out["ts"] = batch.column("ts")
+                out["value"] = batch.column("value")
+                out["ver"] = pa.nulls(n, type=pa.int64())
+                out["last_event_type"] = pa.nulls(n, type=pa.string())
+                out["last_value_cents"] = pa.nulls(n, type=pa.int64())
+            else:
+                out["event_id"] = pa.nulls(n, type=pa.int64())
+                out["ts"] = pa.nulls(n, type=pa.timestamp("us"))
+                out["value"] = pa.nulls(n, type=pa.float64())
+                out["ver"] = batch.column("ver")
+                out["last_event_type"] = batch.column("last_event_type")
+                out["last_value_cents"] = batch.column("last_value_cents")
+            out["_part"] = pa.array(
+                partition_ids(key, num_partitions), type=pa.int64()
+            )
+            return pa.table(out)
 
-        def envelope(side):
-            def fn(batch: pa.Table) -> pa.Table:
-                n = batch.num_rows
-                key = batch.column("user_id")
-                out = {
-                    "_side": pa.array(
-                        np.full(n, side, dtype=np.int8)
-                    ),
-                    "seq": batch.column("seq"),
-                    "op": batch.column("op"),
-                    "user_id": key,
-                }
-                if side == 0:
-                    out["event_id"] = batch.column("event_id")
-                    out["ts"] = batch.column("ts")
-                    out["value"] = batch.column("value")
-                    out["ver"] = pa.nulls(n, type=pa.int64())
-                    out["last_event_type"] = pa.nulls(
-                        n, type=pa.string())
-                    out["last_value_cents"] = pa.nulls(
-                        n, type=pa.int64())
-                else:
-                    out["event_id"] = pa.nulls(n, type=pa.int64())
-                    out["ts"] = pa.nulls(n, type=pa.timestamp("us"))
-                    out["value"] = pa.nulls(n, type=pa.float64())
-                    out["ver"] = batch.column("ver")
-                    out["last_event_type"] = batch.column(
-                        "last_event_type")
-                    out["last_value_cents"] = batch.column(
-                        "last_value_cents")
-                out["_part"] = pa.array(
-                    partition_ids(key, num_partitions), type=pa.int64()
-                )
-                return pa.table(out)
+        return fn
 
-            return fn
-
+    def epoch_input(e: int):
+        # each side is routed by its own envelope before the union, so the
+        # epoch commits with partitioner=None
         env = None
-        for side, ds in pieces:
-            part = ds.map_batches(
-                envelope(side), batch_format="pyarrow", batch_size=None
-            )
+        for side, binlog, side_epochs in (
+            (0, fact_binlog, fact_epochs), (1, dim_binlog, dim_epochs)
+        ):
+            segs = list_segments(binlog, e) if e in side_epochs else []
+            if not segs:
+                continue
+            part = ray.data.read_parquet(
+                segs, override_num_blocks=len(segs)
+            ).map_batches(envelope(side), batch_format="pyarrow", batch_size=None)
             env = part if env is None else env.union(part)
+        return env
 
-        def fold(group: pa.Table) -> pa.Table:
-            part = int(group.column("_part")[0].as_py())
-            st = ManifestStore(lake_root, table)
-            existing = st.get(generation, e, part)
-            if existing is not None:
-                return _stats_row(
-                    table, e, part,
-                    rows=existing.row_count, nbytes=existing.byte_count,
-                    files=len(existing.files), changes_in=group.num_rows,
-                    skipped=True, digest=existing.digest,
-                )
-            side = group.column("_side").to_numpy(zero_copy_only=False)
-            fmask = pa.array(side == 0)
-            fd = group.filter(fmask)
-            dd = group.filter(pc.invert(fmask))
-            facts_delta = pa.table(
-                {
-                    "event_id": fd.column("event_id"),
-                    "ts": fd.column("ts"),
-                    "user_id": fd.column("user_id"),
-                    "value": fd.column("value"),
-                    "_seq": fd.column("seq"),
-                    "_deleted": pc.fill_null(
-                        pc.equal(fd.column("op"), "D"), False),
-                }
-            )
-            dim_delta = pa.table(
-                {
-                    "user_id": dd.column("user_id"),
-                    "last_event_type": dd.column("last_event_type"),
-                    "last_value_cents": dd.column("last_value_cents"),
-                    "_ver": dd.column("ver"),
-                    "_seq": dd.column("seq"),
-                }
-            )
-            prev = st.latest_snapshot(generation, part, max_epoch=e - 1)
-            prev_facts, prev_dim = _empty_fact_state(), _empty_dim_state()
-            if prev is not None and len(prev.files) == 3:
-                prev_facts = pq.read_table(Path(lake_root) / prev.files[1])
-                prev_dim = pq.read_table(Path(lake_root) / prev.files[2])
-            facts_state = lww_compact(
-                pa.concat_tables(
-                    [prev_facts, facts_delta], promote_options="permissive"
-                ),
-                "event_id", "_seq", "_seq",
-            )
-            dim_state = lww_compact(
-                pa.concat_tables(
-                    [prev_dim, dim_delta], promote_options="permissive"
-                ),
-                "user_id", "_ver", "_seq",
-            )
-            view = _join_states(facts_state, dim_state)
-            base = (
-                f"{table}/gen={generation:04d}/parts/p={part:05d}/"
-                f"e{e:06d}"
-            )
-            rels = [f"{base}.view.parquet", f"{base}.facts.parquet",
-                    f"{base}.dim.parquet"]
-            nbytes = _atomic_write_parquet(view, Path(lake_root) / rels[0])
-            nbytes += _atomic_write_parquet(
-                facts_state, Path(lake_root) / rels[1])
-            nbytes += _atomic_write_parquet(
-                dim_state, Path(lake_root) / rels[2])
-            m = PartitionManifest(
-                table=table,
-                generation=generation,
-                epoch=e,
-                partition=part,
-                files=rels,
-                row_count=view.num_rows,
-                byte_count=nbytes,
-                max_seq=-1,
-                digest="",
-                mode="append_dedup",
-                schema_version=0,
-            )
-            st.commit(m)
-            return _stats_row(
-                table, e, part,
-                rows=view.num_rows, nbytes=nbytes, files=3,
-                changes_in=group.num_rows, skipped=False, digest="",
-            )
-
-        stats = (
-            env.groupby("_part").map_groups(fold, batch_format="pyarrow")
+    def fold(group: pa.Table, prev) -> list:
+        side = group.column("_side").to_numpy(zero_copy_only=False)
+        fmask = pa.array(side == 0)
+        fd = group.filter(fmask)
+        dd = group.filter(pc.invert(fmask))
+        facts_delta = pa.table(
+            {
+                "event_id": fd.column("event_id"),
+                "ts": fd.column("ts"),
+                "user_id": fd.column("user_id"),
+                "value": fd.column("value"),
+                "_seq": fd.column("seq"),
+                "_deleted": pc.fill_null(pc.equal(fd.column("op"), "D"), False),
+            }
         )
-        n_parts = stats.count()
-        store.write_checkpoint(generation, e, {"epoch": e})
-        summaries.append(
-            {"epoch": e, "partitions": n_parts, "skipped": False})
-    return {"table": table, "epochs": summaries}
+        dim_delta = pa.table(
+            {
+                "user_id": dd.column("user_id"),
+                "last_event_type": dd.column("last_event_type"),
+                "last_value_cents": dd.column("last_value_cents"),
+                "_ver": dd.column("ver"),
+                "_seq": dd.column("seq"),
+            }
+        )
+        prev_facts, prev_dim = _empty_fact_state(), _empty_dim_state()
+        if prev is not None and len(prev.files) == 3:
+            prev_facts = pq.read_table(Path(lake_root) / prev.files[1])
+            prev_dim = pq.read_table(Path(lake_root) / prev.files[2])
+        facts_state = lww_compact(
+            pa.concat_tables(
+                [prev_facts, facts_delta], promote_options="permissive"
+            ),
+            "event_id", "_seq", "_seq",
+        )
+        dim_state = lww_compact(
+            pa.concat_tables(
+                [prev_dim, dim_delta], promote_options="permissive"
+            ),
+            "user_id", "_ver", "_seq",
+        )
+        view = _join_states(facts_state, dim_state)
+        return [
+            (".view", view), (".facts", facts_state), (".dim", dim_state)
+        ]
+
+    return maintain_view(
+        lake_root, table, meta["generation"],
+        epochs if epochs is not None else sorted(fact_epochs | dim_epochs),
+        resume=resume, epoch_input=epoch_input, partitioner=None, fold=fold,
+    )
 
 
 def read_join_view(

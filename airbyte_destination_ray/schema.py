@@ -125,15 +125,6 @@ def is_json_property(spec: PropertySpec) -> bool:
     return len(types) == 1 and types[0] in ("object", "array")
 
 
-@dataclass
-class ColumnSpec:
-    name: str
-    dtype: pa.DataType
-    nullable: bool
-    is_json: bool = False
-    column_id: int | None = None  # stable id for rename-by-id schema evolution
-
-
 def build_table_schema(
     json_properties: dict[str, dict],
     primary_key: list[str] | None = None,

@@ -14,8 +14,14 @@ operators:
 - :func:`make_partitioner` — ``map_batches`` stage assigning
   ``_part = stable_hash(pk) % P`` (+ optional in-batch pre-reduce).
 - :func:`make_partition_merger` — the per-partition ``map_groups`` task:
-  merge (previous snapshot ∪ incoming changes), write the new snapshot
-  atomically, commit the manifest (CAS → exactly-once), return a stats row.
+  merge (previous snapshot ∪ incoming changes) and commit it through
+  :func:`commit_partition`.
+- :func:`commit_partition` — the ONE partition commit: exactly-once probe,
+  previous-snapshot lookup, atomic file writes + zone maps, manifest CAS,
+  stats row.  Every writer (merger, compaction, cluster, maintained views)
+  supplies only its fold.
+- :func:`commit_epoch` — the ONE epoch commit: partitioner → ``_part``
+  exchange → merger per partition → stats table → S6 checkpoint barrier.
 
 Tombstones: a delete is a row that *wins* LWW at its ``(ver, seq)`` and
 suppresses the key from the read view.  Snapshots **retain** tombstone rows
@@ -344,31 +350,124 @@ def _atomic_write_parquet(t: pa.Table, path: Path) -> int:
 
 
 def _stats_row(
-    table: str,
-    epoch: int,
-    partition: int,
-    *,
-    rows: int,
-    nbytes: int,
-    files: int,
-    changes_in: int,
-    skipped: bool,
-    digest: str,
+    m: PartitionManifest, *, changes_in: int, skipped: bool
 ) -> pa.Table:
     return pa.table(
         {
-            "table": [table],
-            "epoch": [epoch],
-            "partition": [partition],
-            "rows": [rows],
-            "bytes": [nbytes],
-            "files": [files],
+            "table": [m.table],
+            "epoch": [m.epoch],
+            "partition": [m.partition],
+            "rows": [m.row_count],
+            "bytes": [m.byte_count],
+            "files": [len(m.files)],
             "changes_in": [changes_in],
             "skipped": [skipped],
-            "digest": [digest],
+            "digest": [m.digest],
         },
         schema=STATS_SCHEMA,
     )
+
+
+def stats_sum(stats: pa.Table, column: str) -> int:
+    """Total of one ``STATS_SCHEMA`` column (0 for an empty epoch)."""
+    return int(pc.sum(stats.column(column)).as_py() or 0)
+
+
+def read_files(lake_root: str, files: list[str]) -> pa.Table:
+    """Concatenate committed lake files (lake-root-relative paths)."""
+    return pa.concat_tables(pq.read_table(Path(lake_root) / f) for f in files)
+
+
+def commit_partition(
+    lake_root: str,
+    table: str,
+    *,
+    generation: int,
+    epoch: int,
+    partition: int,
+    changes_in: int,
+    fold: Callable,
+    prev: PartitionManifest | None = None,
+) -> pa.Table:
+    """Commit one (generation, epoch, partition): the ONE place a partition
+    manifest is built and CAS-committed.  Returns its ``STATS_SCHEMA`` row.
+
+    Exactly-once: if the manifest already exists (resume, Ray task retry,
+    speculative re-execution) this is a no-op that reports the committed
+    stats without calling ``fold``; losing the CAS to a concurrent
+    duplicate is a no-op too.
+
+    ``fold(prev) -> (pieces, fields)`` computes the new partition state
+    from ``prev`` — the partition's winning manifest as of ``epoch - 1``
+    (looked up here unless the caller already resolved it) or None.
+    ``pieces`` are ``(suffix, table)`` pairs, each written atomically to
+    ``gen=G/parts/p=P/eE<suffix>.parquet`` with its zone map; ``fields``
+    are the remaining ``PartitionManifest`` fields (row_count, max_seq,
+    digest, ...), plus ``keep_files=True`` for a delta commit that stacks
+    its pieces on ``prev``'s files (and their zone maps)."""
+    store = ManifestStore(lake_root, table)
+    existing = store.get(generation, epoch, partition)
+    if existing is not None:
+        return _stats_row(existing, changes_in=changes_in, skipped=True)
+    if prev is None:
+        prev = store.latest_snapshot(generation, partition, max_epoch=epoch - 1)
+    pieces, fields = fold(prev)
+    keep = fields.pop("keep_files", False)
+    files = list(prev.files) if keep else []
+    file_stats = dict(prev.stats) if keep else {}
+    nbytes = 0
+    base = f"{table}/gen={generation:04d}/parts/p={partition:05d}/e{epoch:06d}"
+    for suffix, t in pieces:
+        rel = f"{base}{suffix}.parquet"
+        nbytes += _atomic_write_parquet(t, Path(lake_root) / rel)
+        file_stats[rel] = _file_column_stats(t)
+        files.append(rel)
+    m = PartitionManifest(
+        table=table, generation=generation, epoch=epoch, partition=partition,
+        files=files, byte_count=nbytes, stats=file_stats, **fields,
+    )
+    store.commit(m)  # CAS: losing to a concurrent duplicate is fine
+    return _stats_row(m, changes_in=changes_in, skipped=False)
+
+
+def commit_epoch(
+    store: ManifestStore,
+    ds,
+    *,
+    partitioner: Callable[[pa.Table], pa.Table] | None,
+    merger: Callable[[pa.Table], pa.Table],
+    generation: int,
+    epoch: int,
+    checkpoint: dict | None = None,
+) -> pa.Table:
+    """Commit one epoch: ``partitioner`` routes each block (None: ``ds``
+    already carries ``_part``), ONE exchange groups by ``_part``, ``merger``
+    commits each partition; returns the gathered stats rows.
+
+    With a ``checkpoint`` payload, writes the epoch checkpoint — the S6
+    barrier — only after every partition has committed (the stats totals
+    ride along).  Without one, the caller owns the barrier (an Airbyte
+    flush is checkpointed at the next STATE; the quarantine lane rides its
+    main lane's checkpoint)."""
+    if partitioner is not None:
+        # batch_size=None → whole-block zero-copy Arrow batches; bigger
+        # batches also sharpen the pre-reduce (more duplicates per batch)
+        ds = ds.map_batches(partitioner, batch_format="pyarrow", batch_size=None)
+    out = ds.groupby("_part").map_groups(merger, batch_format="pyarrow")
+    batches = list(out.iter_batches(batch_format="pyarrow"))
+    stats = pa.concat_tables(batches) if batches else STATS_SCHEMA.empty_table()
+    if checkpoint is not None:
+        store.write_checkpoint(
+            generation,
+            epoch,
+            {
+                "partitions": stats.num_rows,
+                "changes_in": stats_sum(stats, "changes_in"),
+                "rows": stats_sum(stats, "rows"),
+                **checkpoint,
+            },
+        )
+    return stats
 
 
 def _align_lake_table(
@@ -421,11 +520,8 @@ def make_partition_merger(
       10^10-event scale where epochs touch a small fraction of each
       partition's keys.
 
-    Exactly-once: if the (generation, epoch, partition) manifest already
-    exists (resume, Ray task retry, speculative re-execution) the task is a
-    no-op that reports the committed stats.  Otherwise it writes the new
-    snapshot file atomically and commits the manifest via CAS; losing the CAS
-    (a concurrent duplicate task) is also a no-op.
+    Exactly-once and the file/manifest writes are
+    :func:`commit_partition`'s; this task supplies only the merge fold.
 
     The task's input is fully determined by (partition id, epoch changes,
     previous committed snapshot), so re-running it yields byte-identical
@@ -441,134 +537,92 @@ def make_partition_merger(
             if partition is not None
             else int(group.column("_part")[0].as_py())
         )
-        store = ManifestStore(lake_root, table_name)
-        existing = store.get(generation, epoch, part)
-        if existing is not None:
-            return _stats_row(
-                table_name, epoch, part,
-                rows=existing.row_count, nbytes=existing.byte_count,
-                files=len(existing.files), changes_in=group.num_rows,
-                skipped=True, digest=existing.digest,
+
+        def fold(prev: PartitionManifest | None):
+            changes = group.drop_columns(["_part"])
+            prev_max_seq = prev.max_seq if prev is not None else -1
+            # single source of truth for the delta-commit decision (the
+            # written pieces and the kept file set must agree)
+            is_delta_commit = bool(
+                mode == "append_dedup"
+                and strategy == "delta"
+                and prev is not None
+                and prev.files
+                and len(prev.files) + 1 < compact_every
+                and prev.schema_version == schema_version  # evolution forces compaction
             )
-
-        changes = group.drop_columns(["_part"])
-        prev = store.latest_snapshot(generation, part, max_epoch=epoch - 1)
-        prev_max_seq = prev.max_seq if prev is not None else -1
-
-        # single source of truth for the delta-commit decision (the write
-        # path and the manifest path below must agree or manifests would
-        # disagree with the written file set)
-        is_delta_commit = bool(
-            mode == "append_dedup"
-            and strategy == "delta"
-            and prev is not None
-            and prev.files
-            and len(prev.files) + 1 < compact_every
-            and prev.schema_version == schema_version  # evolution forces compaction
-        )
-
-        keys_changed = -1
-        if mode in ("append", "overwrite"):
-            # A2: keep every event; idempotence on re-delivery via the
-            # per-partition seq watermark + in-epoch seq dedup (the raw-id
-            # dedup role of destination.go:329-335, keyed by the replay-
-            # deterministic seq instead of rescanning committed data).
-            changes = changes.filter(
-                pc.greater(changes.column(SEQ_COLUMN), pa.scalar(prev_max_seq))
-            )
-            idx = pc.sort_indices(changes, sort_keys=[(SEQ_COLUMN, "ascending")])
-            changes = changes.take(idx)
-            seqs = changes.column(SEQ_COLUMN).to_numpy(zero_copy_only=False)
-            if len(seqs) > 1:
-                keep = np.empty(len(seqs), dtype=bool)
-                keep[0] = True
-                keep[1:] = seqs[1:] != seqs[:-1]
-                changes = changes.filter(pa.array(keep))
-            merged = changes
-            keys_changed = merged.num_rows  # post-seq-dedup event count
-        elif is_delta_commit:
-            # delta commit: persist only this epoch's compacted changes; the
-            # logical partition state is the LWW fold over the file stack
-            merged = lww_compact(changes, pk, ver, SEQ_COLUMN)
-            keys_changed = merged.num_rows
-        else:  # append_dedup → full LWW merge (snapshot, or delta compaction)
-            # pre-compact this epoch's changes before folding in prev (LWW
-            # is associative — hypothesis-pinned — so the merge result is
-            # identical) to get the deterministic keys_changed count free
-            changes = lww_compact(changes, pk, ver, SEQ_COLUMN)
-            keys_changed = changes.num_rows
-            pieces = [changes]
-            if include_prev and prev is not None and prev.files:
-                prev_t = pa.concat_tables(
-                    pq.read_table(Path(lake_root) / f) for f in prev.files
+            if mode in ("append", "overwrite"):
+                # A2: keep every event; idempotence on re-delivery via the
+                # per-partition seq watermark + in-epoch seq dedup (the raw-id
+                # dedup role of destination.go:329-335, keyed by the replay-
+                # deterministic seq instead of rescanning committed data).
+                changes = changes.filter(
+                    pc.greater(changes.column(SEQ_COLUMN), pa.scalar(prev_max_seq))
                 )
-                # in-flight schema upgrade: snapshots written under an older
-                # registry version are rewritten (add→null-fill, widen→cast,
-                # rename-by-id) before the merge
-                prev_t = _align_lake_table(
-                    prev_t, lake_root, table_name, prev.schema_version, schema_version
-                )
+                idx = pc.sort_indices(changes, sort_keys=[(SEQ_COLUMN, "ascending")])
+                changes = changes.take(idx)
+                seqs = changes.column(SEQ_COLUMN).to_numpy(zero_copy_only=False)
+                if len(seqs) > 1:
+                    keep = np.empty(len(seqs), dtype=bool)
+                    keep[0] = True
+                    keep[1:] = seqs[1:] != seqs[:-1]
+                    changes = changes.filter(pa.array(keep))
+                merged = changes
+                keys_changed = merged.num_rows  # post-seq-dedup event count
+            elif is_delta_commit:
+                # delta commit: persist only this epoch's compacted changes;
+                # the logical partition state is the LWW fold over the stack
+                merged = lww_compact(changes, pk, ver, SEQ_COLUMN)
+                keys_changed = merged.num_rows
+            else:  # append_dedup → full LWW merge (snapshot, or delta compaction)
+                # pre-compact this epoch's changes before folding in prev (LWW
+                # is associative — hypothesis-pinned — so the merge result is
+                # identical) to get the deterministic keys_changed count free
+                changes = lww_compact(changes, pk, ver, SEQ_COLUMN)
+                keys_changed = changes.num_rows
+                pieces = [changes]
+                if include_prev and prev is not None and prev.files:
+                    # in-flight schema upgrade: snapshots written under an
+                    # older registry version are rewritten (add→null-fill,
+                    # widen→cast, rename-by-id) before the merge
+                    pieces.append(_align_lake_table(
+                        read_files(lake_root, prev.files), lake_root,
+                        table_name, prev.schema_version, schema_version,
+                    ))
                 # permissive union by name: prev may lack columns the changes
                 # carry (e.g. enrichment enabled later) and vice versa —
                 # missing columns null-fill instead of raising
-                pieces.append(prev_t)
-            combined = pa.concat_tables(pieces, promote_options="permissive")
-            merged = lww_compact(combined, pk, ver, SEQ_COLUMN)
-        files: list[str] = []
-        nbytes = 0
-        max_seq = prev_max_seq
-        # zone map: delta commits retain prev files, so carry their stats
-        file_stats: dict = (
-            dict(prev.stats) if is_delta_commit and prev is not None else {}
-        )
-        if merged.num_rows or mode == "append_dedup":
-            rel = (
-                f"{table_name}/gen={generation:04d}/parts/p={part:05d}/"
-                f"e{epoch:06d}.parquet"
+                combined = pa.concat_tables(pieces, promote_options="permissive")
+                merged = lww_compact(combined, pk, ver, SEQ_COLUMN)
+            max_seq = prev_max_seq
+            if merged.num_rows:
+                max_seq = max(
+                    prev_max_seq, int(pc.max(merged.column(SEQ_COLUMN)).as_py())
+                )
+            # append manifests are additive (files = only the new file, rows
+            # accumulate); a delta stack counts physical rows (the logical
+            # count materializes at compaction) and skips the digest
+            row_count = merged.num_rows
+            if prev is not None and (is_delta_commit or mode != "append_dedup"):
+                row_count += prev.row_count
+            written = merged.num_rows or mode == "append_dedup"
+            return [("", merged)] if written else [], dict(
+                keep_files=is_delta_commit,
+                row_count=row_count,
+                max_seq=max_seq,
+                digest=(
+                    _table_digest(merged)
+                    if compute_digest and not is_delta_commit else ""
+                ),
+                mode=mode,
+                schema_version=schema_version,
+                covers_epoch=covers_epoch,
+                keys_changed=keys_changed,
             )
-            nbytes = _atomic_write_parquet(merged, Path(lake_root) / rel)
-            file_stats[rel] = _file_column_stats(merged)
-            if is_delta_commit:
-                files = list(prev.files) + [rel]
-            else:
-                files.append(rel)
-        if merged.num_rows:
-            max_seq = max(
-                prev_max_seq, int(pc.max(merged.column(SEQ_COLUMN)).as_py())
-            )
-        if mode == "append_dedup":
-            if is_delta_commit:
-                # physical rows in the stack (logical count materializes at
-                # compaction); delta stacks skip the digest for the same reason
-                row_count = (prev.row_count if prev is not None else 0) + merged.num_rows
-            else:
-                row_count = merged.num_rows
-        else:
-            row_count = (prev.row_count if prev is not None else 0) + merged.num_rows
-            # append manifests are additive: files = only the new file
-        digest = _table_digest(merged) if compute_digest and not is_delta_commit else ""
 
-        m = PartitionManifest(
-            table=table_name,
-            generation=generation,
-            epoch=epoch,
-            partition=part,
-            files=files,
-            row_count=row_count,
-            byte_count=nbytes,
-            max_seq=max_seq,
-            digest=digest,
-            mode=mode,
-            schema_version=schema_version,
-            covers_epoch=covers_epoch,
-            stats=file_stats,
-            keys_changed=keys_changed,
-        )
-        store.commit(m)  # CAS: losing to a concurrent duplicate is fine
-        return _stats_row(
-            table_name, epoch, part,
-            rows=row_count, nbytes=nbytes, files=len(files),
-            changes_in=group.num_rows, skipped=False, digest=digest,
+        return commit_partition(
+            lake_root, table_name, generation=generation, epoch=epoch,
+            partition=part, changes_in=group.num_rows, fold=fold,
         )
 
     return merge

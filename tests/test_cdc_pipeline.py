@@ -206,12 +206,17 @@ def test_key_only_winner_cap_falls_back_to_payload(binlog, tmp_path):
     """key_only_max_winners=1 forces every epoch over the broadcast budget:
     the sync must fall back to the payload shuffle per epoch and still
     produce byte-identical lake state (the cap is purely an exchange-volume
-    guard, never a correctness fork)."""
+    guard, never a correctness fork).  Each epoch summary names the
+    exchange it actually ran, so the fallback is visible."""
     a, b = tmp_path / "payload", tmp_path / "capped"
     run_cdc_sync(str(a), binlog, num_partitions=PARTS, shuffle="payload")
-    run_cdc_sync(
+    summary = run_cdc_sync(
         str(b), binlog, num_partitions=PARTS, shuffle="key_only",
         key_only_max_winners=1,
+    )
+    assert summary["epochs"]
+    assert [e["shuffle"] for e in summary["epochs"]] == ["payload"] * len(
+        summary["epochs"]
     )
     assert lake_state(str(a)).equals(lake_state(str(b)))
     assert partition_digests(str(a)) == partition_digests(str(b))
@@ -219,13 +224,15 @@ def test_key_only_winner_cap_falls_back_to_payload(binlog, tmp_path):
 
 def test_key_only_shuffle_matches_oracle_and_resumes(binlog, tmp_path):
     lake = tmp_path / "lake"
-    run_cdc_sync(str(lake), binlog, num_partitions=PARTS, shuffle="key_only",
-                 epochs=[0, 1])
+    first = run_cdc_sync(str(lake), binlog, num_partitions=PARTS,
+                         shuffle="key_only", epochs=[0, 1])
     # resume the remaining epoch; committed epochs are skipped
     summary = run_cdc_sync(str(lake), binlog, num_partitions=PARTS,
                            shuffle="key_only")
     skipped = [e["epoch"] for e in summary["epochs"] if e.get("skipped")]
     assert skipped == [0, 1]
+    fresh = first["epochs"] + [e for e in summary["epochs"] if not e["skipped"]]
+    assert [e["shuffle"] for e in fresh] == ["key_only"] * N_EPOCHS
     assert lake_state(str(lake)).equals(oracle_lww(binlog))
 
 
