@@ -573,14 +573,6 @@ def _range_filter_batch(batch: pa.Table, col: str, lo, hi) -> pa.Table:
     return batch.filter(pc.fill_null(mask, False))
 
 
-def _apply_range_filter(ds, range_filter):
-    col, lo, hi = range_filter
-    return ds.map_batches(
-        lambda b: _range_filter_batch(b, col, lo, hi),
-        batch_format="pyarrow",
-    )
-
-
 def _pin_read_generation(meta: dict, *, staging: bool = False) -> dict:
     """Write-audit-publish read pinning: while a staged generation exists
     (``published_generation`` set by :func:`wap_begin`), every reader sees
@@ -595,6 +587,236 @@ def _pin_read_generation(meta: dict, *, staging: bool = False) -> dict:
     return m
 
 
+# -- the read path: plan_read → read_piece ---------------------------------
+#
+# A read PIECE is one manifest's file set: {partition, files, schema_version,
+# covers_epoch, stack}.  ``plan_read`` turns table state into pieces (the
+# change feed wraps the two manifests it diffs with the same ``_piece``);
+# ``read_piece`` is the only code that turns a piece into visible rows.
+# Scans, lookups, time travel, the driver-side read, the change feed and
+# the co-partitioned join all run through these two.
+
+
+def _piece(m, *, with_stats: bool = False) -> dict:
+    piece = {
+        "partition": m.partition,
+        "files": list(m.files),
+        "schema_version": m.schema_version,
+        "covers_epoch": m.effective_epoch,
+    }
+    if with_stats:
+        piece["stats"] = m.stats
+    return piece
+
+
+def _delta_partition_stacks(
+    store: ManifestStore, meta: dict, *, max_epoch: int | None = None,
+    partitions=None, with_stats: bool = False,
+) -> list[dict]:
+    """Winning manifest per partition → one piece per partition (its
+    snapshot file set, or its delta stack).  ``max_epoch`` = the state as
+    of that source epoch (time travel); ``partitions`` = only those
+    partitions' manifests are read; ``with_stats`` adds the manifest's
+    per-file zone maps under ``stats``."""
+    state = store.table_state(
+        meta["generation"], max_epoch=max_epoch, partitions=partitions
+    )
+    return [
+        _piece(m, with_stats=with_stats)
+        for _, m in sorted(state.items())
+        if m.files
+    ]
+
+
+def plan_read(
+    store: ManifestStore,
+    meta: dict,
+    *,
+    partitions=None,
+    max_epoch: int | None = None,
+    range_filter: tuple | None = None,
+) -> list[dict]:
+    """Read plan of the table state in ``meta``'s generation: one piece per
+    winning manifest of a keyed (``append_dedup``) table — ``stack`` marks
+    a delta stack that must be LWW-folded — or one piece per manifest of an
+    additive (append/overwrite) table, in ``(partition, epoch)`` order.
+
+    ``range_filter`` = ``(col, lo, hi)`` prunes the files of snapshot and
+    additive pieces by the manifests' zone maps (:func:`_prune_files_by_stats`);
+    stacks are never pruned — a key's winning version may sit in any file
+    of its stack.  When the zone maps prune every file, one file is kept:
+    the exact row filter empties it, and the read still carries the
+    table's columns."""
+    with_stats = range_filter is not None
+    keyed = meta["mode"] == "append_dedup"
+    stack = keyed and meta.get("merge_strategy") == "delta"
+    if keyed:
+        pieces = _delta_partition_stacks(
+            store, meta, max_epoch=max_epoch, partitions=partitions,
+            with_stats=with_stats,
+        )
+    else:
+        manifests = sorted(
+            store._iter_manifests(meta["generation"], partitions),
+            key=lambda m: (m.partition, m.epoch),
+        )
+        pieces = [
+            _piece(m, with_stats=with_stats)
+            for m in manifests
+            if m.files and (max_epoch is None or m.effective_epoch <= max_epoch)
+        ]
+    first_file = pieces[0]["files"][:1] if pieces else []
+    for p in pieces:
+        p["stack"] = stack
+        stats = p.pop("stats", None)
+        if with_stats and not stack:
+            p["files"] = [
+                f for f, _ in _prune_files_by_stats(
+                    [(f, None, stats.get(f)) for f in p["files"]], range_filter
+                )
+            ]
+    kept = [p for p in pieces if p["files"]]
+    if pieces and not kept:
+        kept = [dict(pieces[0], files=first_file)]
+    return kept
+
+
+def read_piece(
+    lake_root: str,
+    table: str,
+    piece: dict,
+    *,
+    pk: str | list[str],
+    ver: str | None,
+    target_version: int,
+    columns: list[str] | None = None,
+    keys: pa.Array | None = None,
+    range_filter: tuple | None = None,
+    include_deleted: bool = False,
+    include_meta: bool = False,
+) -> pa.Table:
+    """Visible rows of one read piece, pure Arrow.  In order:
+
+    1. read the files — with ``columns``, only those plus pk, cursor,
+       ``_seq``, ``_deleted`` and the range column leave Parquet (a piece
+       that needs alignment reads everything: renames may map a requested
+       name to another physical column);
+    2. align to schema version ``target_version``;
+    3. keep only ``keys`` (pk values) — before the fold, which is exact
+       because LWW is per key, and shrinks the fold to the wanted keys;
+    4. LWW-fold if the piece is a delta stack;
+    5. exact ``range_filter`` (after the fold: it must not change winners);
+    6. drop tombstones unless ``include_deleted``;
+    7. drop ``_seq``/``_deleted`` unless ``include_meta``;
+    8. select ``columns``.
+
+    Filtering before the select keeps pk and the range column readable
+    even when ``columns`` omits them."""
+    import pyarrow.parquet as pq
+
+    from ..stages.lww import _pk_list, lww_compact
+
+    src_version = piece["schema_version"]
+    want = None
+    if columns and src_version == target_version:
+        extra = [*_pk_list(pk), ver, SEQ_COLUMN, DELETED_COLUMN]
+        if range_filter is not None:
+            extra.append(range_filter[0])
+        want = list(dict.fromkeys(c for c in [*columns, *extra] if c))
+    tabs = []
+    for f in piece["files"]:
+        with pq.ParquetFile(Path(lake_root) / f) as pf:
+            names = pf.schema_arrow.names
+            tabs.append(
+                pf.read(columns=None if want is None else [c for c in want if c in names])
+            )
+    t = _align_lake_table(
+        pa.concat_tables(tabs), lake_root, table, src_version, target_version
+    )
+    if keys is not None:
+        col = t.column(_pk_list(pk)[0])
+        t = t.filter(pc.fill_null(pc.is_in(col, value_set=keys.cast(col.type)), False))
+    if piece.get("stack"):
+        t = lww_compact(t, pk, ver, SEQ_COLUMN)
+    if range_filter is not None:
+        t = _range_filter_batch(t, *range_filter)
+    if not include_deleted and DELETED_COLUMN in t.column_names:
+        t = t.filter(pc.fill_null(pc.invert(t.column(DELETED_COLUMN)), True))
+    if not include_meta:
+        t = t.drop_columns(
+            [c for c in (SEQ_COLUMN, DELETED_COLUMN) if c in t.column_names]
+        )
+    if columns:
+        t = t.select(columns)
+    return t
+
+
+def _compact_stack(
+    lake_root: str,
+    table: str,
+    row: dict,
+    *,
+    pk: str,
+    ver: str,
+    columns: list[str] | None = None,
+    include_deleted: bool = False,
+    include_meta: bool = False,
+) -> pa.Table:
+    # kept by name for perfbench's traced lookup replay, which calls it
+    return read_piece(
+        lake_root, table, dict(row, stack=True), pk=pk, ver=ver,
+        target_version=row["schema_version"], columns=columns,
+        include_deleted=include_deleted, include_meta=include_meta,
+    )
+
+
+def _piece_reader(lake_root, table: str, meta: dict, pieces: list[dict], **opts):
+    """:func:`read_piece` bound to one plan's table-wide arguments.  The
+    alignment target is the REGISTRY's current version, not the newest
+    piece's: a lookup touching only partitions untouched since v0 must
+    still read v-current columns."""
+    from functools import partial
+
+    schema_store = SchemaStore(str(lake_root), table)
+    target = (
+        schema_store.current_version()
+        if schema_store.exists()
+        else max((p["schema_version"] for p in pieces), default=0)
+    )
+    return partial(
+        read_piece, str(lake_root), table, pk=meta["pk"],
+        ver=meta.get("cursor"), target_version=target, **opts,
+    )
+
+
+def _cluster_cpus() -> int:
+    """CPUs of the cluster a Dataset runs on; before Ray is up, this
+    process's CPUs (what Ray Data's automatic local start registers)."""
+    import os
+
+    if ray.is_initialized():
+        return max(1, int(ray.cluster_resources().get("CPU", 1)))
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _read_pieces(lake_root: str, table: str, meta: dict, pieces: list[dict], **opts):
+    """Dataset over ``read_piece`` of every piece: one piece per map call,
+    at most one input block per cluster CPU (more blocks than CPUs only
+    adds task launches; fewer leaves CPUs idle)."""
+    if not pieces:
+        return ray.data.from_arrow(pa.table({}))
+    read = _piece_reader(lake_root, table, meta, pieces, **opts)
+    return ray.data.from_items(
+        pieces, override_num_blocks=min(len(pieces), _cluster_cpus())
+    ).map_batches(
+        lambda b: pa.concat_tables([read(p) for p in b.to_pylist()]),
+        batch_format="pyarrow",
+        batch_size=1,
+    )
+
+
 def read_table(
     lake_root: str,
     table: str,
@@ -607,12 +829,14 @@ def read_table(
     range_filter: tuple | None = None,
     staging: bool = False,
 ):
-    """Dataset over the committed table state (read view).
+    """Dataset over the committed table state (read view): :func:`plan_read`
+    pieces, each read by :func:`read_piece` in a Ray task.
 
     Tombstone rows are filtered out; ``_seq``/``_deleted`` meta columns are
-    dropped unless requested.  ``partitions`` (set of partition ids) prunes
-    the scan to those partition directories via the manifests — the I/O
-    primitive behind :func:`lookup_rows`.
+    dropped unless requested.  ``columns`` is pushed down into the Parquet
+    reads.  ``partitions`` (set of partition ids) prunes the scan to those
+    partitions via the manifests — the I/O primitive behind
+    :func:`lookup_rows`.
 
     ``as_of_epoch`` = TIME TRAVEL: the table state as of that committed
     source epoch (manifests covering newer epochs are ignored — the
@@ -621,128 +845,58 @@ def read_table(
     until ``vacuum`` reclaims superseded files.
 
     ``range_filter`` = ``(col, lo, hi)`` (either bound may be None): rows
-    with ``lo <= col <= hi``.  Files whose manifest zone map (per-file
-    column min/max recorded at commit — the manifest IS the index, no
-    footer reads) cannot intersect the range are pruned from the scan
-    entirely; surviving files get an exact vectorized row filter.  On
-    append tables with a commit-correlated column (event ids, timestamps)
-    a narrow range touches only its own epochs' files.  Delta-strategy
-    stacks skip the FILE pruning (a key's winning version may sit in any
-    stack file — pruning pre-merge would change winners) and apply only
-    the exact post-merge row filter.
+    with ``lo <= col <= hi``; ``col`` need not be in ``columns``.  Files
+    whose manifest zone map (per-file column min/max recorded at commit —
+    the manifest IS the index, no footer reads) cannot intersect the range
+    are pruned from the scan entirely; surviving files get an exact
+    vectorized row filter.  On append tables with a commit-correlated
+    column (event ids, timestamps) a narrow range touches only its own
+    epochs' files.  Delta-strategy stacks skip the FILE pruning (a key's
+    winning version may sit in any stack file — pruning pre-merge would
+    change winners) and apply only the exact post-merge row filter.
 
     ``staging`` = the write-audit-publish AUDIT view: read the staged
     generation instead of the published one (no-op outside a WAP window).
     """
     store = ManifestStore(lake_root, table)
     meta = _pin_read_generation(store.table_meta(), staging=staging)
-    if meta.get("merge_strategy") == "delta" and meta["mode"] == "append_dedup":
-        ds = _read_delta_table(
-            lake_root, table, meta,
-            columns=columns,
-            include_deleted=include_deleted,
-            include_meta=include_meta,
-            partitions=partitions,
-            as_of_epoch=as_of_epoch,
-        )
-        if range_filter is not None:
-            ds = _apply_range_filter(ds, range_filter)
-        return ds
-    versioned = store.committed_files_versioned(
-        meta["generation"], mode=meta["mode"], partitions=partitions,
-        max_epoch=as_of_epoch, with_stats=range_filter is not None,
+    pieces = plan_read(
+        store, meta, partitions=partitions, max_epoch=as_of_epoch,
+        range_filter=range_filter,
     )
-    if range_filter is not None:
-        unpruned = [(f, v) for f, v, _ in versioned]
-        versioned = _prune_files_by_stats(versioned, range_filter)
-        if not versioned and unpruned:
-            # every file pruned: 0 rows, but keep the real schema (readers
-            # diff/join/compare on columns) — one footer read, no data
-            import pyarrow.parquet as _pq
-
-            sch = _pq.read_schema(Path(lake_root) / unpruned[0][0])
-            names = columns or [
-                n for n in sch.names
-                if include_meta or n not in (SEQ_COLUMN, DELETED_COLUMN)
-            ]
-            return ray.data.from_arrow(
-                pa.table(
-                    {n: pa.array([], type=sch.field(n).type) for n in names}
-                )
-            )
-    if not versioned:
-        return ray.data.from_arrow(pa.table({}))
-    # alignment target = the REGISTRY's current version, not the max over
-    # the (possibly partition-pruned) listing: a lookup touching only
-    # partitions untouched since v0 must still read v-current columns
-    schema_store = SchemaStore(lake_root, table)
-    current_version = (
-        schema_store.current_version()
-        if schema_store.exists()
-        else max(v for _, v in versioned)
+    return _read_pieces(
+        lake_root, table, meta, pieces, columns=columns,
+        range_filter=range_filter, include_deleted=include_deleted,
+        include_meta=include_meta,
     )
 
-    # Column-pruning pushdown: only the requested columns (plus the meta
-    # columns the tombstone filter needs) leave the Parquet files — at CC
-    # widths reading `url, lang` must not decode the html column.  Aligned
-    # (older-version) file groups skip the pushdown: renames may map a
-    # requested name to a different physical column.
-    read_columns = None
-    if columns:
-        extra = [SEQ_COLUMN, DELETED_COLUMN]
-        if range_filter is not None:
-            extra = [range_filter[0], *extra]
-        read_columns = list(dict.fromkeys(list(columns) + extra))
 
-    def _read_group(files: list[str], src_version: int):
-        paths = [str(Path(lake_root) / f) for f in files]
-        # partitioning=None: dir names (gen=…/p=…) are physical layout, not columns
-        if src_version != current_version:
-            ds = ray.data.read_parquet(paths, partitioning=None)
-            return ds.map_batches(
-                lambda b, sv=src_version: (
-                    _align_lake_table(
-                        b, lake_root, table, sv, current_version
-                    ).select(read_columns)
-                    if read_columns
-                    else _align_lake_table(
-                        b, lake_root, table, sv, current_version
-                    )
-                ),
-                batch_format="pyarrow",
-            )
-        if read_columns is None:
-            return ray.data.read_parquet(paths, partitioning=None)
-        # ray 2.49's parquet datasource raises UnboundLocalError when both
-        # columns= and partitioning=None are given; with an explicit column
-        # list that never names the gen=/p= dir levels, default partitioning
-        # inference is inert, so drop partitioning=None on this path only
-        return ray.data.read_parquet(paths, columns=read_columns)
+def read_table_arrow(
+    lake_root: str,
+    table: str,
+    *,
+    include_deleted: bool = False,
+    include_meta: bool = False,
+    staging: bool = False,
+    as_of_epoch: int | None = None,
+) -> pa.Table:
+    """Driver-side full read — tests/small results only: the same pieces
+    as :func:`read_table`, read in a loop.
 
-    by_version: dict[int, list[str]] = {}
-    for f, v in versioned:
-        by_version.setdefault(v, []).append(f)
-    groups = [_read_group(files, v) for v, files in sorted(by_version.items())]
-    ds = groups[0]
-    for g in groups[1:]:
-        ds = ds.union(g)
-
-    def clean(batch: pa.Table) -> pa.Table:
-        if not include_deleted and DELETED_COLUMN in batch.column_names:
-            batch = batch.filter(
-                pc.fill_null(pc.invert(batch.column(DELETED_COLUMN)), True)
-            )
-        if range_filter is not None:
-            batch = _range_filter_batch(batch, *range_filter)
-        if not include_meta:
-            drop = [c for c in (SEQ_COLUMN, DELETED_COLUMN) if c in batch.column_names]
-            if drop:
-                batch = batch.drop_columns(drop)
-        if columns:
-            batch = batch.select(columns)
-        return batch
-
-    return ds.map_batches(clean, batch_format="pyarrow")
+    Keyword-explicit on purpose: an earlier ``**kw`` signature silently
+    ignored unknown options, so ``as_of_epoch=`` returned the FULL state
+    instead of the time-travel snapshot (caught by the rollback_table
+    equivalence test)."""
+    store = ManifestStore(lake_root, table)
+    meta = _pin_read_generation(store.table_meta(), staging=staging)
+    pieces = plan_read(store, meta, max_epoch=as_of_epoch)
+    if not pieces:
+        return pa.table({})
+    read = _piece_reader(
+        lake_root, table, meta, pieces,
+        include_deleted=include_deleted, include_meta=include_meta,
+    )
+    return pa.concat_tables([read(p) for p in pieces])
 
 
 def compact_table(lake_root: str, table: str) -> dict:
@@ -982,12 +1136,12 @@ def lookup_rows(
     columns: list[str] | None = None,
     include_deleted: bool = False,
 ):
-    """Point lookup by primary key: read ONLY the partition directories the
-    keys hash to — the lake's hash layout IS the index, so a k-key lookup
-    costs O(k) partitions of I/O at ANY table size (vs a full scan for a
-    filter over ``read_table``).  Works for both merge strategies: the
-    snapshot path reads each wanted partition's latest files; the delta
-    path compacts only the wanted partitions' stacks.
+    """Point lookup by primary key: plan ONLY the partitions the keys hash
+    to — the lake's hash layout IS the index, so a k-key lookup costs O(k)
+    partitions of I/O at ANY table size (vs a full scan for a filter over
+    ``read_table``).  Works for both merge strategies: :func:`read_piece`
+    keeps the wanted keys of each planned piece (before folding a delta
+    stack).
 
     The routing hash must be the one the writer used — ``partition_ids``
     over the pk column with the table's ``num_partitions``, guarded by the
@@ -1009,185 +1163,19 @@ def lookup_rows(
             f"table {table!r} has mode {meta['mode']!r}"
         )
     pk = meta["pk"]
-    if not isinstance(pk, str):
-        if len(pk) != 1:
-            raise ValueError("lookup_rows supports single-column pks")
-        pk = pk[0]
+    if not isinstance(pk, str) and len(pk) != 1:
+        raise ValueError("lookup_rows supports single-column pks")
     if not isinstance(keys, (pa.Array, pa.ChunkedArray)):
         keys = pa.array(keys)
-    num_partitions = int(meta["num_partitions"])
-    wanted = set(partition_ids(keys, num_partitions).tolist())
-
-    read_cols = columns
-    if columns is not None and pk not in columns:
-        read_cols = [pk, *columns]
-    ds = read_table(
-        lake_root,
-        table,
-        columns=read_cols,
-        include_deleted=include_deleted,
-        partitions=wanted,
-    )
     if isinstance(keys, pa.ChunkedArray):
         keys = keys.combine_chunks()
-    key_set = keys.drop_null()
-
-    def filt(batch: pa.Table) -> pa.Table:
-        col = batch.column(pk)
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        ok = pc.is_in(col, value_set=key_set.cast(col.type))
-        out = batch.filter(pc.fill_null(ok, False))
-        if columns is not None:
-            out = out.select(columns)
-        return out
-
-    return ds.map_batches(filt, batch_format="pyarrow", batch_size=None)
-
-
-def _delta_partition_stacks(
-    store: ManifestStore, meta: dict, *, max_epoch: int | None = None,
-    partitions=None,
-) -> list[dict]:
-    """Winning manifest per partition → one descriptor row per partition.
-    ``max_epoch`` = the stack as of that source epoch (time travel);
-    ``partitions`` = only those partitions' manifests are read."""
-    state = store.table_state(
-        meta["generation"], max_epoch=max_epoch, partitions=partitions
+    wanted = set(partition_ids(keys, int(meta["num_partitions"])).tolist())
+    meta = _pin_read_generation(meta)
+    pieces = plan_read(store, meta, partitions=wanted)
+    return _read_pieces(
+        lake_root, table, meta, pieces, columns=columns,
+        keys=keys.drop_null(), include_deleted=include_deleted,
     )
-    return [
-        {
-            "partition": p,
-            "files": m.files,
-            "schema_version": m.schema_version,
-            "covers_epoch": m.effective_epoch,
-        }
-        for p, m in sorted(state.items())
-        if m.files
-    ]
-
-
-def _compact_stack(
-    lake_root: str,
-    table: str,
-    row: dict,
-    *,
-    pk: str,
-    ver: str,
-    columns: list[str] | None,
-    include_deleted: bool,
-    include_meta: bool,
-) -> pa.Table:
-    """Read one partition's delta stack and fold it with LWW (the read-side
-    merge of the LSM strategy; stacks are single-schema-version by
-    construction — evolution forces compaction)."""
-    import pyarrow.parquet as pq
-
-    from ..stages.lww import lww_compact
-
-    t = pa.concat_tables(
-        pq.read_table(Path(lake_root) / f) for f in row["files"]
-    )
-    t = lww_compact(t, pk, ver, SEQ_COLUMN)
-    if not include_deleted and DELETED_COLUMN in t.column_names:
-        t = t.filter(pc.fill_null(pc.invert(t.column(DELETED_COLUMN)), True))
-    if not include_meta:
-        drop = [c for c in (SEQ_COLUMN, DELETED_COLUMN) if c in t.column_names]
-        if drop:
-            t = t.drop_columns(drop)
-    if columns:
-        t = t.select(columns)
-    return t
-
-
-def _read_delta_table(
-    lake_root: str,
-    table: str,
-    meta: dict,
-    *,
-    columns: list[str] | None,
-    include_deleted: bool,
-    include_meta: bool,
-    partitions=None,
-    as_of_epoch: int | None = None,
-):
-    stacks = _delta_partition_stacks(
-        ManifestStore(lake_root, table), meta,
-        max_epoch=as_of_epoch, partitions=partitions,
-    )
-    if not stacks:
-        return ray.data.from_arrow(pa.table({}))
-    pk, ver = meta["pk"], meta["cursor"]
-    return ray.data.from_items(stacks).map_batches(
-        lambda batch: pa.concat_tables(
-            _compact_stack(
-                lake_root, table, r,
-                pk=pk, ver=ver, columns=columns,
-                include_deleted=include_deleted, include_meta=include_meta,
-            )
-            for r in batch.to_pylist()
-        ),
-        batch_format="pyarrow",
-        batch_size=1,  # one compaction task per partition
-    )
-
-
-def read_table_arrow(
-    lake_root: str,
-    table: str,
-    *,
-    include_deleted: bool = False,
-    include_meta: bool = False,
-    staging: bool = False,
-    as_of_epoch: int | None = None,
-) -> pa.Table:
-    """Driver-side full read — tests/small results only.
-
-    Keyword-explicit on purpose: an earlier ``**kw`` signature silently
-    ignored unknown options, so ``as_of_epoch=`` returned the FULL state
-    instead of the time-travel snapshot (caught by the rollback_table
-    equivalence test)."""
-    import pyarrow.parquet as pq
-
-    store = ManifestStore(lake_root, table)
-    meta = _pin_read_generation(store.table_meta(), staging=staging)
-    if meta.get("merge_strategy") == "delta" and meta["mode"] == "append_dedup":
-        stacks = _delta_partition_stacks(store, meta, max_epoch=as_of_epoch)
-        if not stacks:
-            return pa.table({})
-        return pa.concat_tables(
-            _compact_stack(
-                lake_root, table, r,
-                pk=meta["pk"], ver=meta["cursor"], columns=None,
-                include_deleted=include_deleted,
-                include_meta=include_meta,
-            )
-            for r in stacks
-        )
-    versioned = store.committed_files_versioned(
-        meta["generation"], mode=meta["mode"], max_epoch=as_of_epoch
-    )
-    if not versioned:
-        return pa.table({})
-    schema_store = SchemaStore(lake_root, table)
-    current_version = (
-        schema_store.current_version()
-        if schema_store.exists()
-        else max(v for _, v in versioned)
-    )
-    t = pa.concat_tables(
-        _align_lake_table(
-            pq.read_table(Path(lake_root) / f), lake_root, table, v, current_version
-        )
-        for f, v in versioned
-    )
-    if not include_deleted and DELETED_COLUMN in t.column_names:
-        t = t.filter(pc.fill_null(pc.invert(t.column(DELETED_COLUMN)), True))
-    if not include_meta:
-        drop = [c for c in (SEQ_COLUMN, DELETED_COLUMN) if c in t.column_names]
-        if drop:
-            t = t.drop_columns(drop)
-    return t
 
 
 def delete_rows(lake_root: str, table: str, keys) -> dict:
@@ -1443,8 +1431,8 @@ def _change_feed_copartitioned(
                 return None  # mixed schema versions → generic aligned path
         plan.append(
             {
-                "old": list(old_m.files) if old_m is not None else [],
-                "new": list(new_m.files),
+                "old": _piece(old_m) if old_m is not None and old_m.files else None,
+                "new": _piece(new_m) if new_m.files else None,
             }
         )
     if sample_file is None:
@@ -1463,9 +1451,11 @@ def _change_feed_copartitioned(
     if not plan:
         return ray.data.from_arrow(empty_out)
 
-    lr = str(lake_root)
-    dcol = DELETED_COLUMN
-    file_cols = read_cols + [dcol]
+    read = _piece_reader(
+        lake_root, table, meta,
+        [p for row in plan for p in row.values() if p is not None],
+        columns=read_cols,
+    )
 
     def diff_partition(batch: pa.Table) -> pa.Table:
         import numpy as np
@@ -1473,19 +1463,12 @@ def _change_feed_copartitioned(
         from .relational import diff_snapshot_sides
 
         outs = []
-        for row in range(batch.num_rows):
+        for row in batch.to_pylist():
             tagged = []
-            for side, colname in ((0, "old"), (1, "new")):
-                files = batch.column(colname)[row].as_py()
-                tabs = [
-                    pq.read_table(str(Path(lr) / f), columns=file_cols)
-                    for f in files
-                ]
-                if not tabs:
+            for side, piece in enumerate((row["old"], row["new"])):
+                if piece is None:
                     continue
-                t = pa.concat_tables(tabs)
-                t = t.filter(pc.fill_null(pc.invert(t.column(dcol)), True))
-                t = t.select(read_cols)
+                t = read(piece)
                 t = t.filter(t.column(pk).combine_chunks().is_valid())
                 t = t.append_column(
                     "_side",
@@ -1964,23 +1947,16 @@ def copartitioned_join(
     if lm.get("hash_scheme") != rm.get("hash_scheme"):
         raise ValueError("hash-scheme mismatch — tables route keys differently")
     pk = lpk
-    num_partitions = int(lm["num_partitions"])
 
-    lstate = ls.table_state(lm["generation"])
-    rstate = rs.table_state(rm["generation"])
-    plan: list[dict] = []
-    lsample = rsample = None
-    for p in range(num_partitions):
-        lman, rman = lstate.get(p), rstate.get(p)
-        lf = list(lman.files) if lman is not None else []
-        rf = list(rman.files) if rman is not None else []
-        if lsample is None and lf:
-            lsample = lf[0]
-        if rsample is None and rf:
-            rsample = rf[0]
-        if not lf or (how == "inner" and not rf):
-            continue
-        plan.append({"left": lf, "right": rf})
+    lplan, rplan = plan_read(ls, lm), plan_read(rs, rm)
+    rpieces = {r["partition"]: r for r in rplan}
+    plan = [
+        {"left": lp, "right": rpieces.get(lp["partition"])}
+        for lp in lplan
+        if how == "left" or lp["partition"] in rpieces
+    ]
+    lsample = lplan[0]["files"][0] if lplan else None
+    rsample = rplan[0]["files"][0] if rplan else None
 
     def side_cols(sample: str | None, want, own_pk: str) -> list[str]:
         if want is not None:
@@ -2026,27 +2002,20 @@ def copartitioned_join(
     if not plan:
         return ray.data.from_arrow(empty_out)
 
-    lr = str(lake_root)
-    dcol = DELETED_COLUMN
     join_type = "inner" if how == "inner" else "left outer"
-
-    def read_side(files: list[str], cols: list[str]) -> pa.Table:
-        tabs = [
-            pq.read_table(str(Path(lr) / f), columns=[*cols, dcol])
-            for f in files
-        ]
-        if not tabs:
-            return empty_out.select([])  # unused; guarded by plan filter
-        t = pa.concat_tables(tabs)
-        t = t.filter(pc.fill_null(pc.invert(t.column(dcol)), True))
-        return t.select(cols)
+    read_left = _piece_reader(
+        lake_root, left_table, lm, [r["left"] for r in plan], columns=lcols
+    )
+    read_right = _piece_reader(
+        lake_root, right_table, rm,
+        [r["right"] for r in plan if r["right"] is not None], columns=rcols,
+    )
 
     def join_partition(batch: pa.Table) -> pa.Table:
         outs = []
-        for row in range(batch.num_rows):
-            lt = read_side(batch.column("left")[row].as_py(), lcols)
-            rf = batch.column("right")[row].as_py()
-            if not rf:
+        for row in batch.to_pylist():
+            lt = read_left(row["left"])
+            if row["right"] is None:
                 # left join with an empty right side: null-fill payload
                 cols = {c: lt.column(c) for c in lcols}
                 for c in rpayload:
@@ -2057,7 +2026,7 @@ def copartitioned_join(
                     )
                 outs.append(pa.table(cols))
                 continue
-            rt = read_side(rf, rcols)
+            rt = read_right(row["right"])
             j = lt.join(
                 rt, keys=pk, join_type=join_type, right_suffix=right_suffix
             )

@@ -272,12 +272,13 @@ def test_tail_binlog_picks_up_new_epochs(tmp_path, ray_session):
     assert t.column("text").to_pylist() == ["t2", "t3"]
 
 
-def test_read_table_column_pushdown(binlog, tmp_path):
+@pytest.mark.parametrize("strategy", ["snapshot", "delta"])
+def test_read_table_column_pushdown(binlog, tmp_path, strategy):
     """read_table(columns=...) pushes projection into the Parquet read (the
     html payload must not be decoded to list urls) and matches the full
-    read's values; also correct across schema-version-mixed file groups."""
+    read's values, for snapshot files and for LWW-folded delta stacks."""
     lake = tmp_path / "lake"
-    run_cdc_sync(str(lake), binlog, num_partitions=PARTS)
+    run_cdc_sync(str(lake), binlog, num_partitions=PARTS, merge_strategy=strategy)
     full = read_table(str(lake), "pages").to_pandas()
     pruned = read_table(str(lake), "pages", columns=["url", "lang"]).to_pandas()
     assert sorted(pruned.columns) == ["lang", "url"]
