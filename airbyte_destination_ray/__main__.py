@@ -19,6 +19,8 @@ SURVEY §7.9 — on a cluster, run e.g.
     python -m airbyte_destination_ray vacuum --lake LAKE [--table pages] [--keep-generations N]
 
 This entry point owns the Ray session (the library never calls ray.init).
+Commands that need no Ray job — spec, check, write (a flush commits
+in-process), and the metadata-only ones — never start one.
 """
 
 from __future__ import annotations
@@ -324,6 +326,37 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 0
 
+    if args.command == "write":
+        # a flush commits in-process (stages.lww.commit_epoch on a driver
+        # Arrow table) — no Ray session needed
+        from .pipelines.airbyte_write import run_write
+
+        cfg = load_config(args.config)
+        catalog = load_catalog(args.catalog)
+        lines = (
+            sys.stdin
+            if args.input == "-"
+            else open(args.input, encoding="utf-8")
+        )
+        result = run_write(cfg, catalog, lines)
+        print(
+            json.dumps(
+                {
+                    "type": "LOG",
+                    "log": {
+                        "level": "INFO",
+                        "message": (
+                            f"wrote {result.records_written} records in "
+                            f"{result.flushes} flushes across "
+                            f"{len(result.tables)} tables"
+                        ),
+                    },
+                },
+                separators=(",", ":"),
+            )
+        )
+        return 0
+
     if args.command == "emit":
         import ray
 
@@ -512,38 +545,6 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         finally:
             ray.shutdown()
-
-    # write
-    try:
-        from .pipelines.airbyte_write import run_write
-
-        cfg = load_config(args.config)
-        catalog = load_catalog(args.catalog)
-        lines = (
-            sys.stdin
-            if args.input == "-"
-            else open(args.input, encoding="utf-8")
-        )
-        result = run_write(cfg, catalog, lines)
-        print(
-            json.dumps(
-                {
-                    "type": "LOG",
-                    "log": {
-                        "level": "INFO",
-                        "message": (
-                            f"wrote {result.records_written} records in "
-                            f"{result.flushes} flushes across "
-                            f"{len(result.tables)} tables"
-                        ),
-                    },
-                },
-                separators=(",", ":"),
-            )
-        )
-        return 0
-    finally:
-        ray.shutdown()
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ Reproduces the reference's write path (internal/connector/destination.go:
         STATE: flush ALL buffers → echo state with destinationStats (S6)
     EOF: final flush; all-overwrite sync with 0 records → full reset (A4)
 
-A *flush* runs the stream's buffered records through the same Ray Data
+A *flush* runs the stream's buffered records through the same
 partition+merge machinery as the CDC pipeline (hash-partition by PK →
 per-partition LWW merge/append → manifest CAS), so Airbyte sync modes map to
 engine semantics exactly:
@@ -25,6 +25,11 @@ engine semantics exactly:
                    id) dedup — exactly A2's "unique id = _airbyte_raw_id"
                    table declaration (destination.go:329-335)
     overwrite    → generation bump at sync start + append semantics (A3)
+
+A flush's batch is already one Arrow table on the driver, so
+``commit_epoch`` commits it in-process, partition by partition: a flush
+launches no Ray job, and the ``write`` command runs without a Ray session.
+(``run_write_dataset`` — NDJSON files on storage — is the distributed form.)
 
 The global record index (replay-critical, M4) orders flushes too: each flush
 commits under a monotonically increasing *flush epoch* that RESUMES from the
@@ -263,13 +268,11 @@ class AirbyteWriter:
         buf.nbytes += size
         self.result.records_written += 1
 
-    # -- flush = Ray Data partition+merge (publishBatch analog) ------------
+    # -- flush = in-process partition+merge (publishBatch analog) ----------
     def _flush_table(self, table: str) -> None:
         buf = self.buffers.pop(table, None)
         if not buf or not buf.records:
             return
-        import ray.data
-
         stream = self.catalog.stream_by_table()[table]
         try:
             batch = records_to_arrow(buf.records, stream, buf.indices)
@@ -329,10 +332,13 @@ class AirbyteWriter:
             strategy="delta",
             compact_every=16,
         )
-        # no checkpoint here: the barrier is written at the next STATE
+        # the batch is driver-resident (≤ 500 records / ~1 MB): commit_epoch
+        # routes and merges it in-process — a Ray Data job per flush would
+        # cost more than the merges.  No checkpoint here: the barrier is
+        # written at the next STATE.
         commit_epoch(
             ManifestStore(self.config.lake_root, table),
-            ray.data.from_arrow(batch),
+            batch,
             partitioner=partitioner,
             merger=merger,
             generation=self.generations[table],

@@ -17,6 +17,12 @@ Epochs run sequentially (an epoch is a barrier by definition); everything
 within an epoch streams through Ray Data with backpressure.  The heavy data
 never touches the driver — merge tasks write snapshots + manifests directly;
 only the per-partition stats rows (one per partition) come back.
+
+An Airbyte flush (``pipelines/airbyte_write.py``) is the one commit whose
+input already sits on the driver as an Arrow table; ``commit_epoch`` takes
+that form in-process — partitioner → ``split_by_part`` → merger per
+partition, in partition order — with the same merger, manifests and bytes,
+and no Ray job.
 """
 
 from __future__ import annotations

@@ -22,6 +22,9 @@ operators:
   supplies only its fold.
 - :func:`commit_epoch` — the ONE epoch commit: partitioner → ``_part``
   exchange → merger per partition → stats table → S6 checkpoint barrier.
+  A Dataset epoch runs the exchange as a Ray Data job; a driver-resident
+  Arrow table (an Airbyte flush) is split by :func:`split_by_part` and
+  committed in-process.
 
 Tombstones: a delete is a row that *wins* LWW at its ``(ver, seq)`` and
 suppresses the key from the read view.  Snapshots **retain** tombstone rows
@@ -86,28 +89,34 @@ def ipc_table(b) -> pa.Table:
     return pa.ipc.open_stream(pa.BufferReader(b)).read_all()
 
 
-def pack_by_part(batch: pa.Table, parts: "np.ndarray") -> pa.Table:
-    """Cluster ``batch`` by partition id and serialize one IPC envelope per
-    partition: ONE take + zero-copy slices (a filter per partition would be
-    O(rows × partitions) — the groupby-per-bucket anti-pattern).  Empty
-    batches yield the empty packed table."""
-    if batch.num_rows == 0:
-        return _PACKED_SCHEMA.empty_table()
+def split_by_part(t: pa.Table, parts: "np.ndarray") -> list[tuple[int, pa.Table]]:
+    """Cluster ``t`` by partition id into ``(partition, rows)`` pairs in
+    ascending partition order: ONE stable take + zero-copy slices (a filter
+    per partition would be O(rows × partitions) — the groupby-per-bucket
+    anti-pattern).  Rows keep their input order within a partition."""
+    if t.num_rows == 0:
+        return []
     order = np.argsort(parts, kind="stable")
-    clustered = batch.take(pa.array(order, type=pa.int64()))
+    clustered = t.take(pa.array(order, type=pa.int64()))
     sp = parts[order]
     starts = np.nonzero(np.concatenate(([True], sp[1:] != sp[:-1])))[0]
     ends = np.append(starts[1:], len(sp))
-    out_p: list[int] = []
-    out_b: list[bytes] = []
-    for s, e in zip(starts, ends):
-        out_p.append(int(sp[s]))
-        out_b.append(ipc_bytes(clustered.slice(int(s), int(e - s))))
+    return [
+        (int(sp[s]), clustered.slice(int(s), int(e - s)))
+        for s, e in zip(starts, ends)
+    ]
+
+
+def pack_by_part(batch: pa.Table, parts: "np.ndarray") -> pa.Table:
+    """Serialize one IPC envelope per partition of ``batch`` (see
+    :func:`split_by_part`).  Empty batches yield the empty packed table."""
+    groups = split_by_part(batch, parts)
     return pa.table(
         {
-            "_part": pa.array(out_p, type=pa.int64()),
-            "_ipc": pa.array(out_b, type=pa.binary()),
-        }
+            "_part": pa.array([p for p, _ in groups], type=pa.int64()),
+            "_ipc": pa.array([ipc_bytes(g) for _, g in groups], type=pa.binary()),
+        },
+        schema=_PACKED_SCHEMA,
     )
 
 
@@ -440,21 +449,35 @@ def commit_epoch(
     epoch: int,
     checkpoint: dict | None = None,
 ) -> pa.Table:
-    """Commit one epoch: ``partitioner`` routes each block (None: ``ds``
-    already carries ``_part``), ONE exchange groups by ``_part``, ``merger``
+    """Commit one epoch: ``partitioner`` routes the rows (None: ``ds``
+    already carries ``_part``), they are grouped by ``_part``, ``merger``
     commits each partition; returns the gathered stats rows.
+
+    ``ds`` is either a ``ray.data.Dataset`` — distributed input (binlog
+    epochs, repartition, views): each block is routed by ``map_batches``
+    and ONE ``groupby("_part").map_groups`` exchange runs the merger — or
+    a ``pa.Table`` already on the driver (an Airbyte flush): it is routed,
+    split by ``_part`` and committed in-process, partition by partition,
+    without a Ray job, whose fixed cost is larger than a small commit's
+    merges.  Both run the same ``merger`` (so :func:`commit_partition`)
+    per partition and write the same lake.
 
     With a ``checkpoint`` payload, writes the epoch checkpoint — the S6
     barrier — only after every partition has committed (the stats totals
     ride along).  Without one, the caller owns the barrier (an Airbyte
     flush is checkpointed at the next STATE; the quarantine lane rides its
     main lane's checkpoint)."""
-    if partitioner is not None:
-        # batch_size=None → whole-block zero-copy Arrow batches; bigger
-        # batches also sharpen the pre-reduce (more duplicates per batch)
-        ds = ds.map_batches(partitioner, batch_format="pyarrow", batch_size=None)
-    out = ds.groupby("_part").map_groups(merger, batch_format="pyarrow")
-    batches = list(out.iter_batches(batch_format="pyarrow"))
+    if isinstance(ds, pa.Table):
+        routed = ds if partitioner is None else partitioner(ds)
+        parts = routed.column("_part").to_numpy()
+        batches = [merger(group) for _, group in split_by_part(routed, parts)]
+    else:
+        if partitioner is not None:
+            # batch_size=None → whole-block zero-copy Arrow batches; bigger
+            # batches also sharpen the pre-reduce (more duplicates per batch)
+            ds = ds.map_batches(partitioner, batch_format="pyarrow", batch_size=None)
+        out = ds.groupby("_part").map_groups(merger, batch_format="pyarrow")
+        batches = list(out.iter_batches(batch_format="pyarrow"))
     stats = pa.concat_tables(batches) if batches else STATS_SCHEMA.empty_table()
     if checkpoint is not None:
         store.write_checkpoint(

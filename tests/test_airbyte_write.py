@@ -8,13 +8,21 @@ append_dedup stream (pk=id, cursor=updated_at, LWW resolves id=1 to the later
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pyarrow as pa
 import pytest
 
+import airbyte_destination_ray
 from airbyte_destination_ray.catalog import Catalog, Config, catalog_from_json
+from airbyte_destination_ray.pipelines import airbyte_write
 from airbyte_destination_ray.pipelines.airbyte_write import run_write
 from airbyte_destination_ray.pipelines.cdc import read_table_arrow
+from airbyte_destination_ray.stages.lww import commit_epoch
+from airbyte_destination_ray.state.manifest import ManifestStore
 
 CATALOG = {
     "streams": [
@@ -351,3 +359,206 @@ def test_emit_records_round_trip(ray_session, lake, tmp_path):
         bb = b.select(data_cols).sort_by([(c, "ascending")
                                           for c in data_cols])
         assert aa.equals(bb), stream.name
+
+
+# -- a flush commits in-process ------------------------------------------
+
+
+def _many_flush_lines(records_per_stream):
+    """Both streams interleaved: the overwrite stream (keyed on the raw id)
+    and the append_dedup stream, whose ids recur across flushes (some null
+    names, cursor ties broken by seq); a STATE every 100 records."""
+    lines = []
+    for i in range(records_per_stream):
+        lines.append(airline(i % 97, f"n{i}"))
+        lines.append(rec("deduped_stream", {
+            "id": i % 61,
+            "name": None if i % 13 == 0 else f"v{i}",
+            "updated_at": f"2024-01-{1 + i % 28:02d}T00:00:00Z",
+        }))
+        if i % 100 == 99:
+            lines.append(state(i + 1))
+    return lines
+
+
+def _lake_files(lake):
+    root = Path(lake)
+    return {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in sorted(root.rglob("*")) if p.is_file()
+    }
+
+
+def _file_ids(lake):
+    return {
+        p: (p.stat().st_ino, p.stat().st_mtime_ns)
+        for p in Path(lake).rglob("*") if p.is_file()
+    }
+
+
+def test_flush_routings_write_the_same_lake(ray_session, tmp_path, monkeypatch):
+    """The same flushes committed through ``commit_epoch(pa.Table)`` (the
+    in-process form every flush uses) and through
+    ``commit_epoch(ray.data.from_arrow(t))`` (the Ray Data exchange) give
+    byte-identical Parquet files, manifests and checkpoints and equal stats
+    rows — for the raw-id-keyed and the append_dedup table, across a
+    ``compact_every=16`` delta compaction.  Re-running a committed flush
+    epoch is a no-op either way."""
+    import ray.data
+
+    def capture(calls, routing):
+        def wrapped(store, ds, **kw):
+            stats = commit_epoch(store, routing(ds), **kw)
+            calls.append((store, ds, kw, stats))
+            return stats
+
+        return wrapped
+
+    lines = _many_flush_lines(760)
+    lakes, calls = {}, {}
+    for name, routing in (("table", lambda t: t), ("dataset", ray.data.from_arrow)):
+        calls[name] = []
+        monkeypatch.setattr(
+            airbyte_write, "commit_epoch", capture(calls[name], routing)
+        )
+        lakes[name] = str(tmp_path / name)
+        result, _ = run(
+            lakes[name], lines, max_records_per_flush=40, num_partitions=4
+        )
+        assert result.flushes == len(calls[name]) >= 2 * 17
+    monkeypatch.undo()
+
+    files = _lake_files(lakes["table"])
+    assert files == _lake_files(lakes["dataset"])
+    assert sum(f.endswith(".parquet") for f in files) > 100
+    for a, b in zip(calls["table"], calls["dataset"]):
+        assert a[3].num_rows > 0
+        assert a[3].equals(b[3].sort_by("partition"))
+
+    for table in ("airlines", "deduped_stream"):
+        store = ManifestStore(lakes["table"], table)
+        ms = sorted(
+            store._iter_manifests(store.table_meta()["generation"]),
+            key=lambda m: (m.partition, m.epoch),
+        )
+        # a 15-file delta stack folds into one snapshot at the next flush
+        assert any(
+            len(a.files) == 15 and b.partition == a.partition
+            and len(b.files) == 1
+            for a, b in zip(ms, ms[1:])
+        ), table
+
+    for name in lakes:
+        store, ds, kw, _ = calls[name][-1]
+        before = _file_ids(lakes[name])
+        again = commit_epoch(
+            store, ds if name == "table" else ray.data.from_arrow(ds), **kw
+        )
+        assert again.num_rows > 0
+        assert again.column("skipped").to_pylist() == [True] * again.num_rows
+        assert _file_ids(lakes[name]) == before
+
+
+def _two_state_lines():
+    return [
+        airline(1, "alpha"),
+        airline(2, "beta"),
+        rec("deduped_stream",
+            {"id": 1, "name": "oldname", "updated_at": "2024-01-01T00:00:00Z"}),
+        state(3),
+        airline(3, "gamma"),
+        rec("deduped_stream",
+            {"id": 1, "name": "aeromexico", "updated_at": "2024-02-01T00:00:00Z"}),
+        rec("deduped_stream",
+            {"id": 2, "name": "other", "updated_at": "2024-01-15T00:00:00Z"}),
+        state(6),
+    ]
+
+
+def test_flush_launches_no_ray_data_job(monkeypatch, lake):
+    """A sync's flushes never build a Ray Data plan: with ``from_arrow``
+    and ``Dataset.groupby`` raising, the write still commits every flush,
+    echoes both STATEs in order and checkpoints each barrier."""
+    import ray.data
+
+    def no_ray_job(*a, **kw):
+        raise AssertionError("a flush launched a Ray Data job")
+
+    monkeypatch.setattr(ray.data, "from_arrow", no_ray_job)
+    monkeypatch.setattr(ray.data.Dataset, "groupby", no_ray_job)
+    result, output = run(lake, _two_state_lines(), max_records_per_flush=2)
+
+    msgs = [json.loads(l) for l in output.splitlines()]
+    states = [m["state"] for m in msgs if m["type"] == "STATE"]
+    assert [s["sourceStats"] for s in states] == [
+        {"recordCount": 3.0}, {"recordCount": 6.0}
+    ]
+    assert [s["destinationStats"] for s in states] == [
+        {"recordCount": 3.0}, {"recordCount": 6.0}
+    ]
+    # the second STATE is echoed last, after its barrier's flushes
+    assert msgs[-1]["type"] == "STATE"
+    assert result.flushes == 4 and result.states_echoed == 2
+
+    for table in ("airlines", "deduped_stream"):
+        store = ManifestStore(lake, table)
+        gen = store.table_meta()["generation"]
+        cps = [
+            json.loads(p.read_text())
+            for p in sorted(store.checkpoint_dir.iterdir())
+        ]
+        assert [(c["epoch"], c["records_written"]) for c in cps] == [
+            (1, 3), (3, 6)
+        ]
+        assert all(c["generation"] == gen for c in cps)
+
+    airlines = read_table_arrow(lake, "airlines")
+    assert sorted(airlines.column("id").to_pylist()) == [1, 2, 3]
+    dedup = read_table_arrow(lake, "deduped_stream").to_pylist()
+    assert {r["id"]: r["name"] for r in dedup} == {1: "aeromexico", 2: "other"}
+
+
+def test_cli_write_starts_no_ray_session(tmp_path):
+    """``python -m airbyte_destination_ray write`` (run through ``runpy``,
+    which is what ``-m`` does, so the process can report afterwards)
+    writes the lake and echoes STATE without ever initializing Ray."""
+    lake = tmp_path / "lake"
+    (tmp_path / "config.json").write_text(json.dumps({"lake_root": str(lake)}))
+    (tmp_path / "catalog.json").write_text(json.dumps(CATALOG))
+    (tmp_path / "in.ndjson").write_text("\n".join(_lines()) + "\n")
+    argv = [
+        "airbyte_destination_ray", "write",
+        "--config", str(tmp_path / "config.json"),
+        "--catalog", str(tmp_path / "catalog.json"),
+        "--input", str(tmp_path / "in.ndjson"),
+    ]
+    script = (
+        "import runpy, sys\n"
+        f"sys.argv = {argv!r}\n"
+        "code = 0\n"
+        "try:\n"
+        "    runpy.run_module('airbyte_destination_ray', run_name='__main__',"
+        " alter_sys=True)\n"
+        "except SystemExit as e:\n"
+        "    code = e.code\n"
+        "import ray\n"
+        "print('ray_initialized', ray.is_initialized(), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    repo = str(Path(airbyte_destination_ray.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=repo)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ray_initialized False" in proc.stderr
+    states = [
+        json.loads(l) for l in proc.stdout.splitlines()
+        if json.loads(l)["type"] == "STATE"
+    ]
+    assert [s["state"]["destinationStats"] for s in states] == [
+        {"recordCount": 3.0}, {"recordCount": 3.0}, {"recordCount": 5.0}
+    ]
+    assert read_table_arrow(str(lake), "airlines").num_rows == 8
+    assert read_table_arrow(str(lake), "deduped_stream").num_rows == 2

@@ -143,3 +143,24 @@ def test_bump_generation_keeps_the_rest_of_meta(store):
     meta = store.table_meta()
     assert meta["generation"] == 2 and meta["num_partitions"] == 4
     assert not (store.root / "_meta.json.tmp").exists()
+
+
+def test_commit_writes_the_asdict_json_bytes(store):
+    """``commit`` serializes a shallow field dict; the bytes on disk are
+    exactly ``json.dumps(asdict(m), sort_keys=True)``, nested ``stats``
+    map included, and ``get`` reads the same manifest back."""
+    files = [f"t/gen=0000/parts/p=00002/e{e:06d}.parquet" for e in (3, 4)]
+    m = PartitionManifest(
+        table="t", generation=0, epoch=4, partition=2, files=files,
+        row_count=7, byte_count=900, max_seq=41, schema_version=1,
+        stats={
+            files[0]: {"k": [1, 9], "name": ["a", "z"], "ts": [None, None]},
+            files[1]: {"k": [2, 5], "ver": [0.5, 1.5]},
+        },
+        keys_changed=3,
+    )
+    assert store.commit(m)
+    raw = (store.manifest_dir / f"{m.key}.json").read_text()
+    assert raw == json.dumps(asdict(m), sort_keys=True)
+    assert store.get(0, 4, 2) == m
+    assert not store.commit(m)  # CAS: the second commit loses
