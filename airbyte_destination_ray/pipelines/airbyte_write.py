@@ -221,7 +221,7 @@ class AirbyteWriter:
             self.result.tables.append(table)
             # resume the flush-epoch counter past every committed manifest
             max_committed_epoch = max(
-                [max_committed_epoch, *source_epochs(store._iter_manifests(gen))]
+                [max_committed_epoch, *source_epochs(store.manifest_names(gen))]
             )
         self.flush_epoch = max_committed_epoch + 1
 

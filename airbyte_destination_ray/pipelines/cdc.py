@@ -925,7 +925,7 @@ def compact_table(lake_root: str, table: str) -> dict:
     stacks = [s for s in _delta_partition_stacks(store, meta) if len(s["files"]) > 1]
     if not stacks:
         return {"compacted_partitions": 0}
-    next_epoch = next_lane_epoch(store._iter_manifests(gen))
+    next_epoch = next_lane_epoch(store.manifest_names(gen))
     target_version = max(s["schema_version"] for s in stacks)
     # the compaction COVERS every source epoch folded into the stacks; a
     # later source epoch then outranks it (state.manifest.resolve_state),
@@ -1043,11 +1043,10 @@ def cluster_table(
     if not isinstance(pk, str):
         pk = pk[0]
     is_delta = meta.get("merge_strategy") == "delta"
-    manifests = store._iter_manifests(gen)
-    state = {p: m for p, m in resolve_state(manifests).items() if m.files}
+    state = {p: m for p, m in store.table_state(gen).items() if m.files}
     if not state:
         return {"clustered_partitions": 0}
-    next_epoch = next_lane_epoch(manifests)
+    next_epoch = next_lane_epoch(store.manifest_names(gen))
     schema_store = SchemaStore(lake_root, table)
     target_version = (
         schema_store.current_version()
@@ -1253,7 +1252,7 @@ def delete_rows(lake_root: str, table: str, keys) -> dict:
     stacks = [s for s in all_stacks if s["partition"] in wanted]
     if not stacks:
         return {"partitions_rewritten": 0, "rows_removed": 0}
-    next_epoch = next_lane_epoch(store._iter_manifests(gen))
+    next_epoch = next_lane_epoch(store.manifest_names(gen))
     target_version = max(s["schema_version"] for s in stacks)
     pk_col, ver = pk, meta["cursor"]
     keys_ref = ray.put(keys)
@@ -1359,9 +1358,8 @@ def change_feed(
         if len(pk) != 1:
             raise ValueError("change_feed supports single-column pks")
         pk = pk[0]
-    manifests = store._iter_manifests(meta["generation"])
-    new_state = resolve_state(manifests, max_epoch=epoch)
-    old_state = resolve_state(manifests, max_epoch=epoch - 1)
+    new_state = store.table_state(meta["generation"], max_epoch=epoch)
+    old_state = store.table_state(meta["generation"], max_epoch=epoch - 1)
     if not new_state:
         raise ValueError(
             f"change_feed: table {table!r} has no committed state as of "

@@ -130,7 +130,7 @@ def sync_text_index(
 
     store = ManifestStore(lake_root, table)
     committed_epochs = source_epochs(
-        store._iter_manifests(store.table_meta()["generation"])
+        store.manifest_names(store.table_meta()["generation"])
     )
 
     for epoch in range(int(meta["last_epoch"]) + 1, upto_epoch + 1):

@@ -46,7 +46,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..functions.hashing import partition_ids
-from ..state.manifest import ManifestStore, PartitionManifest
+from ..state.manifest import COMPACTION_EPOCH_BASE, ManifestStore, PartitionManifest
 
 SEQ_COLUMN = "_seq"
 DELETED_COLUMN = "_deleted"
@@ -413,7 +413,11 @@ def commit_partition(
     ``gen=G/parts/p=P/eE<suffix>.parquet`` with its zone map; ``fields``
     are the remaining ``PartitionManifest`` fields (row_count, max_seq,
     digest, ...), plus ``keep_files=True`` for a delta commit that stacks
-    its pieces on ``prev``'s files (and their zone maps)."""
+    its pieces on ``prev``'s files (and their zone maps).  Only a
+    compaction-lane commit (``epoch ≥ COMPACTION_EPOCH_BASE``) may set
+    ``covers_epoch``: ``table_state`` orders every other manifest by the
+    epoch in its filename, so one below the lane that claimed a covered
+    epoch would be ranked wrong — a ``ValueError``, before any write."""
     store = ManifestStore(lake_root, table)
     existing = store.get(generation, epoch, partition)
     if existing is not None:
@@ -421,6 +425,11 @@ def commit_partition(
     if prev is None:
         prev = store.latest_snapshot(generation, partition, max_epoch=epoch - 1)
     pieces, fields = fold(prev)
+    if epoch < COMPACTION_EPOCH_BASE and fields.get("covers_epoch", -1) >= 0:
+        raise ValueError(
+            f"epoch {epoch} is below the compaction lane: only lane commits "
+            f"may set covers_epoch (got {fields['covers_epoch']})"
+        )
     keep = fields.pop("keep_files", False)
     files = list(prev.files) if keep else []
     file_stats = dict(prev.stats) if keep else {}
@@ -460,7 +469,11 @@ def commit_epoch(
     split by ``_part`` and committed in-process, partition by partition,
     without a Ray job, whose fixed cost is larger than a small commit's
     merges.  Both run the same ``merger`` (so :func:`commit_partition`)
-    per partition and write the same lake.
+    per partition and write the same lake.  In-process, the table state
+    as of ``epoch - 1`` is resolved once for the routed partitions and
+    the merger is called as ``merger(group, partition=p, prev=m)`` with
+    each one's winning manifest (None keeps :func:`commit_partition`'s
+    own lookup); a Dataset epoch's merge tasks each look up their own.
 
     With a ``checkpoint`` payload, writes the epoch checkpoint — the S6
     barrier — only after every partition has committed (the stats totals
@@ -470,7 +483,13 @@ def commit_epoch(
     if isinstance(ds, pa.Table):
         routed = ds if partitioner is None else partitioner(ds)
         parts = routed.column("_part").to_numpy()
-        batches = [merger(group) for _, group in split_by_part(routed, parts)]
+        groups = split_by_part(routed, parts)
+        state = store.table_state(
+            generation, max_epoch=epoch - 1, partitions=[p for p, _ in groups]
+        )
+        batches = [
+            merger(group, partition=p, prev=state.get(p)) for p, group in groups
+        ]
     else:
         if partitioner is not None:
             # batch_size=None → whole-block zero-copy Arrow batches; bigger
@@ -551,10 +570,14 @@ def make_partition_merger(
     output — the replay-equivalence invariant.
     """
 
-    def merge(group: pa.Table, *, partition: int | None = None) -> pa.Table:
+    def merge(
+        group: pa.Table, *, partition: int | None = None,
+        prev: PartitionManifest | None = None,
+    ) -> pa.Table:
         # partition override: maintenance rewrites (delete_rows) may hand in
         # a 0-row group (every row of the partition removed) where the
-        # usual first-row _part probe has nothing to read
+        # usual first-row _part probe has nothing to read; prev: the
+        # partition's state already resolved by the caller (commit_epoch)
         part = (
             partition
             if partition is not None
@@ -645,7 +668,7 @@ def make_partition_merger(
 
         return commit_partition(
             lake_root, table_name, generation=generation, epoch=epoch,
-            partition=part, changes_in=group.num_rows, fold=fold,
+            partition=part, changes_in=group.num_rows, fold=fold, prev=prev,
         )
 
     return merge

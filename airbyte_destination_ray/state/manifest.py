@@ -26,15 +26,27 @@ flip, matching the semantics of the reference's delete-then-append job,
 destination.go:198-241).  For append tables manifests are additive and the
 current state is the union over committed epochs; ``max_seq`` is the
 re-delivery watermark.
+
+Name-ordered recency: a manifest below the compaction lane never carries a
+``covers_epoch`` (``commit_partition`` refuses one), so its ``order_key`` is
+``(E, E)`` with E read from its filename — among those manifests the highest
+E ≤ ``max_epoch`` wins outright.  ``ManifestStore.table_state`` therefore
+resolves recency from ONE directory listing and parses only that candidate
+per partition, plus every compaction-lane manifest of the wanted partitions:
+a lane manifest's rank depends on the ``covers_epoch`` in its body.  Reads,
+lookups and merges pay O(partitions + lane manifests) parses, not
+O(history); the filename format is load-bearing.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 
 # Compaction manifests live in a dedicated epoch lane far above any real
@@ -49,6 +61,28 @@ COMPACTION_EPOCH_BASE = 1_000_000_000
 # hash values for every integer pk, so v1 integer-pk lakes must be rebuilt,
 # and init_table refuses to resume a lake stamped with a different scheme.
 HASH_SCHEME_VERSION = 2
+
+
+_NAME_RE = re.compile(r"g(\d+)-e(\d+)-p(\d+)\.json")
+
+
+class ManifestName(NamedTuple):
+    """What a manifest's filename says — ``g<G>-e<E>-p<P>.json``."""
+
+    generation: int
+    epoch: int
+    partition: int
+
+    @property
+    def key(self) -> str:
+        return f"g{self.generation:04d}-e{self.epoch:06d}-p{self.partition:05d}"
+
+    @classmethod
+    def parse(cls, filename: str) -> "ManifestName | None":
+        """Inverse of ``f"{key}.json"``; None for any other name (temp
+        files of an in-flight commit, strays)."""
+        m = _NAME_RE.fullmatch(filename)
+        return None if m is None else cls(*map(int, m.groups()))
 
 
 @dataclass
@@ -94,7 +128,9 @@ class PartitionManifest:
 
     @property
     def key(self) -> str:
-        return f"g{self.generation:04d}-e{self.epoch:06d}-p{self.partition:05d}"
+        """The manifest's filename stem (:meth:`ManifestName.parse` reads
+        it back)."""
+        return ManifestName(self.generation, self.epoch, self.partition).key
 
 
 def resolve_state(
@@ -120,7 +156,8 @@ def resolve_state(
 def next_lane_epoch(manifests) -> int:
     """First free compaction-lane epoch above every lane manifest of the
     generation (across ALL partitions, winning or not — reusing an
-    occupied slot would turn the new commit into a silent CAS no-op)."""
+    occupied slot would turn the new commit into a silent CAS no-op).
+    Reads only ``.epoch``: pass :meth:`ManifestStore.manifest_names`."""
     return 1 + max(
         (m.epoch for m in manifests if m.epoch >= COMPACTION_EPOCH_BASE),
         default=COMPACTION_EPOCH_BASE - 1,
@@ -129,7 +166,8 @@ def next_lane_epoch(manifests) -> int:
 
 def source_epochs(manifests) -> set[int]:
     """Binlog/flush epochs with at least one committed manifest
-    (compaction-lane commits excluded — they are not source epochs)."""
+    (compaction-lane commits excluded — they are not source epochs).
+    Reads only ``.epoch``: pass :meth:`ManifestStore.manifest_names`."""
     return {m.epoch for m in manifests if m.epoch < COMPACTION_EPOCH_BASE}
 
 
@@ -263,52 +301,83 @@ class ManifestStore:
         return _atomic_write_json(self.manifest_dir / f"{m.key}.json", payload)
 
     def get(self, generation: int, epoch: int, partition: int) -> PartitionManifest | None:
-        p = self.manifest_dir / (
-            f"g{generation:04d}-e{epoch:06d}-p{partition:05d}.json"
-        )
-        if not p.exists():
+        name = ManifestName(generation, epoch, partition)
+        if not (self.manifest_dir / f"{name.key}.json").exists():
             return None
-        with open(p) as f:
-            return PartitionManifest(**json.load(f))
+        return self._read_manifest(name)
 
     def is_committed(self, generation: int, epoch: int, partition: int) -> bool:
-        return (
-            self.manifest_dir
-            / f"g{generation:04d}-e{epoch:06d}-p{partition:05d}.json"
-        ).exists()
+        key = ManifestName(generation, epoch, partition).key
+        return (self.manifest_dir / f"{key}.json").exists()
+
+    def _read_manifest(self, name: ManifestName) -> PartitionManifest:
+        """Open and parse one manifest body — every read of one goes here."""
+        with open(self.manifest_dir / f"{name.key}.json") as f:
+            return PartitionManifest(**json.load(f))
+
+    def manifest_names(
+        self, generation: int, partitions=None
+    ) -> list[ManifestName]:
+        """Names of a generation's manifests — one directory listing, no
+        body opened.  With ``partitions`` (ids), only those partitions'."""
+        try:
+            names = os.listdir(self.manifest_dir)
+        except FileNotFoundError:
+            return []
+        prefix = f"g{generation:04d}-"
+        # the partition filter compares the key's "-p<P>.json" tail as a
+        # string: parsing every name of a deep table costs more than
+        # listing it, and a one-partition lookup needs 1/P of them
+        wanted = (
+            None if partitions is None
+            else {f"-p{int(p):05d}.json" for p in partitions}
+        )
+        out = []
+        for name in names:
+            if not name.startswith(prefix) or (
+                wanted is not None and name[name.rfind("-p"):] not in wanted
+            ):
+                continue
+            n = ManifestName.parse(name)
+            if n is not None:
+                out.append(n)
+        return out
 
     def _iter_manifests(
         self, generation: int, partitions=None
     ) -> list[PartitionManifest]:
-        """Manifests of a generation — one directory listing.  With
-        ``partitions`` (ids), only those partitions' manifests, filtered by
-        filename BEFORE parsing: a merge task's previous-state lookup stays
-        O(epochs), not O(epochs × partitions)."""
-        if not self.manifest_dir.exists():
-            return []
-        prefix = f"g{generation:04d}-"
-        wanted = (
-            None if partitions is None
-            else {f"-p{p:05d}.json" for p in partitions}
-        )
-        out = []
-        for p in self.manifest_dir.iterdir():
-            name = p.name
-            if not (name.startswith(prefix) and name.endswith(".json")):
-                continue
-            if wanted is not None and name[name.rfind("-p"):] not in wanted:
-                continue
-            with open(p) as f:
-                out.append(PartitionManifest(**json.load(f)))
-        return out
+        """Every manifest body of a generation (of ``partitions`` only,
+        filtered by name before parsing).  Only readers that need the whole
+        history use this — additive tables, lineage, rollback; table state
+        comes from :meth:`table_state`."""
+        return [
+            self._read_manifest(n)
+            for n in self.manifest_names(generation, partitions)
+        ]
 
     def table_state(
         self, generation: int, *, max_epoch: int | None = None, partitions=None
     ) -> dict[int, PartitionManifest]:
         """Table state as of source epoch ``max_epoch``: partition → winning
-        manifest (:func:`resolve_state` over one listing)."""
+        manifest, by :func:`resolve_state`.
+
+        Recency is resolved from the names (see the module docstring):
+        per partition only the highest source epoch ≤ ``max_epoch`` can win
+        among the non-lane manifests, so that one is parsed; every
+        compaction-lane manifest of the wanted partitions is parsed too,
+        because its rank is the ``covers_epoch`` in its body."""
+        best: dict[int, ManifestName] = {}
+        candidates = []
+        for n in self.manifest_names(generation, partitions):
+            if n.epoch >= COMPACTION_EPOCH_BASE:
+                candidates.append(n)
+            elif max_epoch is None or n.epoch <= max_epoch:
+                cur = best.get(n.partition)
+                if cur is None or n.epoch > cur.epoch:
+                    best[n.partition] = n
+        candidates.extend(best.values())
         return resolve_state(
-            self._iter_manifests(generation, partitions), max_epoch=max_epoch
+            (self._read_manifest(n) for n in candidates), max_epoch=max_epoch
         )
 
     def latest_snapshot(
@@ -347,13 +416,19 @@ class ManifestStore:
         a new timeline) and only until ``vacuum`` reclaims superseded
         files.
         """
-        manifests = self._iter_manifests(generation, partitions)
-        if max_epoch is not None:
-            manifests = [m for m in manifests if m.effective_epoch <= max_epoch]
         if mode in ("append", "overwrite"):
-            manifests.sort(key=lambda m: (m.partition, m.epoch))
+            manifests = sorted(
+                (
+                    m for m in self._iter_manifests(generation, partitions)
+                    if max_epoch is None or m.effective_epoch <= max_epoch
+                ),
+                key=lambda m: (m.partition, m.epoch),
+            )
         else:
-            manifests = [m for _, m in sorted(resolve_state(manifests).items())]
+            state = self.table_state(
+                generation, max_epoch=max_epoch, partitions=partitions
+            )
+            manifests = [m for _, m in sorted(state.items())]
         if with_stats:
             return [
                 (f, m.schema_version, m.stats.get(f))
@@ -454,11 +529,10 @@ class ManifestStore:
         missing: list[str] = []
         mismatches: list[dict] = []
 
-        manifests = self._iter_manifests(current)
         check_set = (
-            list(resolve_state(manifests).values())
+            list(self.table_state(current).values())
             if mode == "append_dedup"
-            else manifests
+            else self._iter_manifests(current)
         )
         referenced: set[str] = set()
         for m in check_set:

@@ -3,18 +3,23 @@
 ``stages.lww.commit_partition`` is the only code that builds and
 CAS-commits a ``PartitionManifest``; these tests pin its protocol on tiny
 tables: the first commit, the exactly-once replay no-op, a lost CAS, a
-delta commit that keeps its previous files, and multi-piece naming.  The
-last test is a structural guard that keeps every writer on this path.
+delta commit that keeps its previous files, multi-piece naming, and the
+refusal of a ``covers_epoch`` below the compaction lane.  The last test is
+a structural guard that keeps every writer on this path.
 """
 
 import ast
 from pathlib import Path
 
 import pyarrow as pa
+import pytest
 
 import airbyte_destination_ray
 from airbyte_destination_ray.stages.lww import commit_partition
-from airbyte_destination_ray.state.manifest import ManifestStore
+from airbyte_destination_ray.state.manifest import (
+    COMPACTION_EPOCH_BASE,
+    ManifestStore,
+)
 
 PART_DIR = "t/gen=0000/parts/p=00003"
 
@@ -119,6 +124,22 @@ def test_multi_piece_suffix_naming(tmp_path):
     assert m.byte_count == sum((tmp_path / n).stat().st_size for n in names)
     assert row.column("files").to_pylist() == [3]
     assert row.column("rows").to_pylist() == [1]
+
+
+def test_covers_epoch_below_the_lane_is_refused(tmp_path):
+    """``table_state`` orders non-lane manifests by the epoch in their
+    filename, so only a compaction-lane commit may claim a covered epoch:
+    below the lane the commit raises before writing anything."""
+    commit(tmp_path, 0, single(table(1)))
+    with pytest.raises(ValueError, match="covers_epoch"):
+        commit(tmp_path, 1, single(table(2), covers_epoch=0))
+    store = ManifestStore(tmp_path, "t")
+    assert store.get(0, 1, 3) is None
+    assert not (tmp_path / f"{PART_DIR}/e000001.parquet").exists()
+    # -1 (no claim) is fine below the lane; the lane itself may claim one
+    commit(tmp_path, 1, single(table(2), covers_epoch=-1))
+    commit(tmp_path, COMPACTION_EPOCH_BASE, single(table(1, 2), covers_epoch=1))
+    assert store.latest_snapshot(0, 3).epoch == COMPACTION_EPOCH_BASE
 
 
 def _calls(tree):

@@ -3,19 +3,27 @@
 Every reader of table state goes through ``state.manifest.resolve_state``;
 these tests pin the rule itself: compaction-lane ranking, time travel on
 the covered source epoch, partition pruning of the listing, the additive
-union order, and the next free compaction-lane epoch.
+union order, and the next free compaction-lane epoch — and that
+``table_state``, which orders non-lane manifests by filename and parses
+only the candidates, picks the same winners as the rule over every
+manifest.
 """
 
 import json
+import tempfile
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airbyte_destination_ray.state.manifest import (
     COMPACTION_EPOCH_BASE as LANE,
+    ManifestName,
     ManifestStore,
     PartitionManifest,
     next_lane_epoch,
+    resolve_state,
     source_epochs,
 )
 
@@ -126,6 +134,7 @@ def test_next_lane_epoch(store):
 def test_absent_manifest_dir(store):
     assert not store.manifest_dir.exists()
     assert store._iter_manifests(0) == []
+    assert store.manifest_names(0) == []
     assert store.table_state(0) == {}
     assert store.table_state(0, max_epoch=3, partitions={0}) == {}
     assert store.latest_snapshot(0, 0) is None
@@ -164,3 +173,93 @@ def test_commit_writes_the_asdict_json_bytes(store):
     assert raw == json.dumps(asdict(m), sort_keys=True)
     assert store.get(0, 4, 2) == m
     assert not store.commit(m)  # CAS: the second commit loses
+
+
+def test_manifest_name_round_trips_and_skips_strays(store):
+    m = put(store, epoch=LANE + 2, partition=7, generation=3, covers=5)
+    name = ManifestName.parse(f"{m.key}.json")
+    assert name == (3, LANE + 2, 7) and name.key == m.key
+    for stray in (f"{m.key}.json.tmp", "tmpab12.tmp", "g0003-e1-p.json",
+                  "notes.txt"):
+        assert ManifestName.parse(stray) is None
+        (store.manifest_dir / stray).write_text("not json")
+    assert store.manifest_names(3) == [name]
+    assert store.manifest_names(0) == []
+    assert store.table_state(3)[7] == m
+
+
+def test_table_state_parses_one_manifest_per_partition_plus_lanes(
+    store, monkeypatch
+):
+    for e in range(40):
+        put(store, epoch=e, partition=e % 4)
+    put(store, epoch=LANE, partition=1, covers=20)
+    put(store, epoch=LANE + 1, partition=2, covers=38)
+    opened = []
+    orig = ManifestStore._read_manifest
+    monkeypatch.setattr(
+        ManifestStore, "_read_manifest",
+        lambda self, n: opened.append(n) or orig(self, n),
+    )
+    state = store.table_state(0)
+    assert {p: m.epoch for p, m in state.items()} == {
+        0: 36, 1: 37, 2: LANE + 1, 3: 39,
+    }
+    assert len(opened) == 4 + 2
+    opened.clear()
+    assert store.table_state(0, max_epoch=21, partitions={1})[1].epoch == 21
+    assert sorted(n.epoch for n in opened) == [21, LANE]
+    opened.clear()
+    assert source_epochs(store.manifest_names(0)) == set(range(40))
+    assert next_lane_epoch(store.manifest_names(0)) == LANE + 2
+    assert opened == []
+
+
+@st.composite
+def manifest_sets(draw):
+    """Manifests of two generations: per partition a random set of source
+    epochs (never a covers_epoch — only lane commits carry one) and lane
+    manifests whose covered epoch falls below, on or above the source
+    epochs."""
+    out = []
+    for generation in (0, 1):
+        for partition in range(draw(st.integers(1, 4))):
+            for e in draw(st.sets(st.integers(0, 12), max_size=6)):
+                out.append(dict(generation=generation, epoch=e, partition=partition))
+        lanes = draw(st.lists(st.integers(-1, 14), max_size=4))
+        for k, covers in enumerate(lanes):
+            out.append(dict(
+                generation=generation, epoch=LANE + k,
+                partition=draw(st.integers(0, 4)), covers=covers,
+            ))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    manifests=manifest_sets(),
+    generation=st.sampled_from([0, 1]),
+    max_epoch=st.one_of(st.none(), st.integers(-3, 16)),
+    partitions=st.one_of(st.none(), st.sets(st.integers(0, 5))),
+)
+def test_table_state_equals_resolve_state_over_every_manifest(
+    manifests, generation, max_epoch, partitions
+):
+    """Name-ordered recency picks the same winners as the recency rule
+    applied to every parsed manifest, for any generation, time-travel
+    bound and partition subset."""
+    with tempfile.TemporaryDirectory() as d:
+        store = ManifestStore(d, "t")
+        for kw in manifests:
+            put(store, **kw)
+        expected = resolve_state(
+            store._iter_manifests(generation, partitions), max_epoch=max_epoch
+        )
+        assert store.table_state(
+            generation, max_epoch=max_epoch, partitions=partitions
+        ) == expected
+        if partitions is None:
+            mode = "append_dedup"
+            assert store.committed_files_versioned(
+                generation, mode=mode, max_epoch=max_epoch
+            ) == [(f, 0) for _, m in sorted(expected.items()) for f in m.files]
