@@ -100,8 +100,3 @@ def band_keys(
     key = _mix64(key.ravel())
     band_idx = np.tile(np.arange(bands, dtype=np.int64), n_rows)
     return band_idx, key
-
-
-def jaccard_estimate(sig_a: np.ndarray, sig_b: np.ndarray) -> np.ndarray:
-    """Estimated Jaccard similarity from signature agreement (row-wise)."""
-    return (sig_a == sig_b).mean(axis=-1)

@@ -40,11 +40,6 @@ def _regs_from_hashes(h: np.ndarray, p: int) -> np.ndarray:
     return regs
 
 
-def hll_partial(values, p: int = 12) -> np.ndarray:
-    """Registers (uint8[2**p]) for one batch of values."""
-    return _regs_from_hashes(stable_hash_array(values), p)
-
-
 def hll_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(a, b)
 

@@ -29,17 +29,6 @@ from .hashing import stable_hash_array
 # BPE-ish pre-tokenizer: word pieces, contractions, digits runs, punctuation
 # runs — the GPT-2 style split pattern reduced to RE2-compatible syntax.
 BPE_ISH_PATTERN = r"'[a-z]+|[A-Za-z]+|[0-9]+|[^A-Za-z0-9\s]+"
-WHITESPACE_PATTERN = r"\S+"
-
-
-def token_count(texts, pattern: str = WHITESPACE_PATTERN) -> pa.Array:
-    """Number of pattern matches per row (null → null). Vectorized RE2."""
-    return pc.count_substring_regex(texts, pattern)
-
-
-def bpe_ish_token_count(texts) -> pa.Array:
-    """Token count under the BPE-style pre-tokenizer split."""
-    return pc.count_substring_regex(texts, BPE_ISH_PATTERN)
 
 
 # --------------------------------------------------------------------------
@@ -390,23 +379,6 @@ def _run_starts(mask: np.ndarray, starts: np.ndarray) -> np.ndarray:
     inbounds = starts[starts < len(mask)]
     rs[inbounds] = mask[inbounds]
     return rs
-
-
-def fast_token_count(texts) -> pa.Array:
-    """BPE-ish token count via byte-run analysis (no regex): one token per
-    maximal run of letters, of digits, and of non-alphanumeric-non-space
-    bytes.  Tracks :data:`BPE_ISH_PATTERN` closely at memory speed."""
-    data, starts, ends = _utf8_view(texts)
-    is_alpha = ((data | 0x20) >= 0x61) & ((data | 0x20) <= 0x7A) | (data >= 0x80)
-    is_digit = (data >= 0x30) & (data <= 0x39)
-    is_space = (data == 0x20) | ((data >= 0x09) & (data <= 0x0D))
-    is_punct = ~(is_alpha | is_digit | is_space)
-    n = (
-        _segment_counts(_run_starts(is_alpha, starts), starts, ends)
-        + _segment_counts(_run_starts(is_digit, starts), starts, ends)
-        + _segment_counts(_run_starts(is_punct, starts), starts, ends)
-    )
-    return _apply_null_mask(pa.array(n, type=pa.int64()), texts)
 
 
 def fast_word_count(texts) -> pa.Array:

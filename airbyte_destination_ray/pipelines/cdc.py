@@ -28,6 +28,7 @@ and no Ray job.
 from __future__ import annotations
 
 import time
+from functools import partial
 from pathlib import Path
 
 import pyarrow as pa
@@ -38,11 +39,14 @@ import ray.data
 from ..sources.synth import list_epochs, list_segments
 from ..stages.lww import (
     DELETED_COLUMN,
+    ENVELOPE_META,
     SEQ_COLUMN,
-    _align_lake_table,
+    _pk_list,
+    _table_digest,
+    align_schema,
     commit_epoch,
     commit_partition,
-    make_envelope_aligner,
+    lww_compact,
     make_partition_merger,
     make_partitioner,
     read_files,
@@ -236,8 +240,10 @@ def run_cdc_sync(
             payload_columns=payload_columns,
             enrich=enrich,
             extract_text=extract_text,
-            pre_transform=make_envelope_aligner(
-                lake_root, table, src_version, target_version
+            pre_transform=partial(
+                align_schema, lake_root=lake_root, table_name=table,
+                src_ver=src_version, dst_ver=target_version,
+                meta_columns=ENVELOPE_META,
             ),
         )
         merger = make_partition_merger(
@@ -349,10 +355,7 @@ def apply_changes(
             payload_columns = [
                 c for c in changes.schema().names if c != op_col
             ]
-    schema_store = SchemaStore(lake_root, table)
-    target_version = (
-        schema_store.current_version() if schema_store.exists() else 0
-    )
+    target_version = _target_version(lake_root, table, ())
     e = int(epoch)
     seq_base = np.int64((e + 1) << 40)
 
@@ -492,7 +495,6 @@ def _epoch_winner_seqs(
     import numpy as np
 
     from ..functions.hashing import composite_partition_ids, partition_ids
-    from ..stages.lww import lww_compact
 
     pks = [pk] if isinstance(pk, str) else list(pk)
     key_cols = pks + ([ver] if ver not in pks else [])
@@ -720,8 +722,6 @@ def read_piece(
     even when ``columns`` omits them."""
     import pyarrow.parquet as pq
 
-    from ..stages.lww import _pk_list, lww_compact
-
     src_version = piece["schema_version"]
     want = None
     if columns and src_version == target_version:
@@ -736,7 +736,7 @@ def read_piece(
             tabs.append(
                 pf.read(columns=None if want is None else [c for c in want if c in names])
             )
-    t = _align_lake_table(
+    t = align_schema(
         pa.concat_tables(tabs), lake_root, table, src_version, target_version
     )
     if keys is not None:
@@ -776,22 +776,25 @@ def _compact_stack(
     )
 
 
-def _piece_reader(lake_root, table: str, meta: dict, pieces: list[dict], **opts):
-    """:func:`read_piece` bound to one plan's table-wide arguments.  The
-    alignment target is the REGISTRY's current version, not the newest
-    piece's: a lookup touching only partitions untouched since v0 must
-    still read v-current columns."""
-    from functools import partial
-
+def _target_version(lake_root, table: str, versions) -> int:
+    """Schema version a read or lane rewrite aligns to: the REGISTRY's
+    current version, not the newest piece's — a lookup touching only
+    partitions untouched since v0 must still read v-current columns.
+    Without a registry, the highest of ``versions``."""
     schema_store = SchemaStore(str(lake_root), table)
-    target = (
-        schema_store.current_version()
-        if schema_store.exists()
-        else max((p["schema_version"] for p in pieces), default=0)
-    )
+    if schema_store.exists():
+        return schema_store.current_version()
+    return max(versions, default=0)
+
+
+def _piece_reader(lake_root, table: str, meta: dict, pieces: list[dict], **opts):
+    """:func:`read_piece` bound to one plan's table-wide arguments."""
     return partial(
-        read_piece, str(lake_root), table, pk=meta["pk"],
-        ver=meta.get("cursor"), target_version=target, **opts,
+        read_piece, str(lake_root), table, pk=meta["pk"], ver=meta.get("cursor"),
+        target_version=_target_version(
+            lake_root, table, (p["schema_version"] for p in pieces)
+        ),
+        **opts,
     )
 
 
@@ -905,69 +908,108 @@ def read_table_arrow(
     return pa.concat_tables([read(p) for p in pieces])
 
 
-def compact_table(lake_root: str, table: str) -> dict:
-    """Maintenance compaction for delta-strategy tables: fold every
-    partition's file stack into a single snapshot file.
+# -- lane rewrites: compact_table, cluster_table, delete_rows --------------
 
-    Compactions commit in a dedicated epoch lane (≥ COMPACTION_EPOCH_BASE,
-    see ``state.manifest``) so they can never collide with a future source
-    epoch's manifest CAS, and they write NO checkpoint — a compaction is not
-    a source barrier, and resume positions must keep pointing at real binlog
-    epochs.  One Ray task per partition; single-file partitions are skipped;
-    mixed-schema-version stacks are aligned to the newest version first.
-    """
-    import numpy as np
 
-    store = ManifestStore(lake_root, table)
-    meta = store.table_meta()
-    gen = meta["generation"]
-    pk, ver = meta["pk"], meta["cursor"]
-    stacks = [s for s in _delta_partition_stacks(store, meta) if len(s["files"]) > 1]
-    if not stacks:
-        return {"compacted_partitions": 0}
-    next_epoch = next_lane_epoch(store.manifest_names(gen))
-    target_version = max(s["schema_version"] for s in stacks)
-    # the compaction COVERS every source epoch folded into the stacks; a
-    # later source epoch then outranks it (state.manifest.resolve_state),
-    # so post-compaction data can never be shadowed
-    covers = max(s["covers_epoch"] for s in stacks)
+def _commit_lane(
+    lake_root: str,
+    table: str,
+    generation: int,
+    state: dict,
+    rewrite,
+    *,
+    rows_per_file: int | None = None,
+) -> tuple[int, pa.Table]:
+    """Rewrite each partition of ``state`` (partition → its winning
+    manifest, as ``table_state`` resolved it) in ONE new compaction-lane
+    epoch — the one commit path of every lane writer.
 
-    merger = make_partition_merger(
-        lake_root,
-        table,
-        generation=gen,
-        epoch=next_epoch,
-        mode="append_dedup",
-        pk=pk,
-        ver=ver,
-        compute_digest=True,
-        schema_version=target_version,
-        strategy="snapshot",  # a compaction IS the full merge
-        include_prev=False,  # the stack below IS the full previous state
-        covers_epoch=covers,
+    One Ray task per partition reads the manifest's files, aligns them to
+    the registry's current schema version (else the highest in ``state``),
+    applies ``rewrite(rows) -> (rows, removed)`` and commits the result
+    through :func:`commit_partition` as one file (``rows_per_file`` set:
+    ``-cNNN`` files of about that many rows).  The lane manifest covers the
+    partition's OWN ``effective_epoch``: a rewrite must not change which
+    data is current, so a later source epoch of this partition — its
+    replay after a crash included — still outranks it.
+
+    Returns the lane epoch and one ``STATS_SCHEMA`` row per partition,
+    whose ``changes_in`` is the rewrite's ``removed``."""
+    import math
+
+    epoch = next_lane_epoch(ManifestStore(lake_root, table).manifest_names(generation))
+    target = _target_version(
+        lake_root, table, (m.schema_version for m in state.values())
     )
 
-    def compact_one(batch: pa.Table) -> pa.Table:
+    def rewrite_one(batch: pa.Table) -> pa.Table:
         out = []
-        for r in batch.to_pylist():
-            stack = _align_lake_table(
-                read_files(lake_root, r["files"]),
-                lake_root, table, r["schema_version"], target_version
+        for p in batch.column("partition").to_pylist():
+            prev = state[p]
+            # rewritten before commit_partition's exactly-once probe, so
+            # a retried task still reports ``removed`` in its stats row
+            rows, removed = rewrite(align_schema(
+                read_files(lake_root, prev.files), lake_root, table,
+                prev.schema_version, target,
+            ))
+            if rows_per_file is None:
+                pieces = [("", rows)]
+            else:
+                n = rows.num_rows
+                n_files = max(1, math.ceil(n / rows_per_file))
+                step = math.ceil(n / n_files) if n else 0
+                pieces = [
+                    (f"-c{j:03d}", rows.slice(j * step, step) if n else rows)
+                    for j in range(n_files)
+                ]
+            fields = dict(
+                row_count=rows.num_rows,
+                max_seq=prev.max_seq,
+                digest=_table_digest(rows),
+                schema_version=target,
+                covers_epoch=prev.effective_epoch,
             )
-            stack = stack.append_column(
-                "_part",
-                pa.array(
-                    np.full(stack.num_rows, r["partition"], dtype=np.int64)
-                ),
-            )
-            out.append(merger(stack))
+            out.append(commit_partition(
+                lake_root, table, generation=generation, epoch=epoch,
+                partition=p, changes_in=removed,
+                fold=lambda _prev: (pieces, fields), prev=prev,
+            ))
         return pa.concat_tables(out)
 
-    stats = ray.data.from_items(stacks).map_batches(
-        compact_one, batch_format="pyarrow", batch_size=1
+    stats = ray.data.from_items(
+        [{"partition": p} for p in sorted(state)], override_num_blocks=len(state)
+    ).map_batches(rewrite_one, batch_format="pyarrow", batch_size=1)
+    return epoch, pa.concat_tables(list(stats.iter_batches(batch_format="pyarrow")))
+
+
+def compact_table(lake_root: str, table: str) -> dict:
+    """Maintenance compaction for delta-strategy tables: LWW-fold every
+    partition's file stack into a single snapshot file.
+
+    A lane rewrite (:func:`_commit_lane`) of every partition with more
+    than one file: it commits in the compaction epoch lane
+    (≥ COMPACTION_EPOCH_BASE, see ``state.manifest``), so it can never
+    collide with a future source epoch's manifest CAS, and each commit
+    covers its own partition's newest source epoch, so it never shadows
+    a later one.  It writes NO checkpoint — a compaction is not a source
+    barrier, and resume positions must keep pointing at real binlog
+    epochs.  Stacks written under older schema versions are aligned to
+    the current one first.
+    """
+    store = ManifestStore(lake_root, table)
+    meta = store.table_meta()
+    pk, ver = meta["pk"], meta["cursor"]
+    state = {
+        p: m for p, m in store.table_state(meta["generation"]).items()
+        if len(m.files) > 1
+    }
+    if not state:
+        return {"compacted_partitions": 0}
+    epoch, stats = _commit_lane(
+        lake_root, table, meta["generation"], state,
+        lambda t: (lww_compact(t, pk, ver, SEQ_COLUMN), 0),
     )
-    n = stats.count()
-    return {"compacted_partitions": n, "epoch": next_epoch}
+    return {"compacted_partitions": stats.num_rows, "epoch": epoch}
 
 
 def _zorder_values(t: pa.Table, cols: list[str]) -> "np.ndarray":
@@ -1022,15 +1064,13 @@ def cluster_table(
     (a lexicographic multi-column sort would only help the leading one).
 
     Hash partitioning by pk is untouched (LWW co-location must survive),
-    so clustering is one LOCAL task per partition — no exchange.  Commits
-    ride the compaction manifest lane (``covers_epoch`` = the epochs the
-    rewritten state covers), so a later source epoch outranks the
+    so clustering is one LOCAL task per partition — no exchange.  It is a
+    lane rewrite (:func:`_commit_lane`: ``covers_epoch`` = the partition's
+    own covered source epoch), so a later source epoch outranks the
     clustered layout; like any OPTIMIZE, re-run after enough new epochs
     degrade it.  Delta-strategy stacks fold (LWW) before sorting —
     clustering doubles as compaction there.
     """
-    from ..stages.lww import _table_digest, lww_compact
-
     store = ManifestStore(lake_root, table)
     meta = store.table_meta()
     if meta["mode"] != "append_dedup":
@@ -1046,63 +1086,25 @@ def cluster_table(
     state = {p: m for p, m in store.table_state(gen).items() if m.files}
     if not state:
         return {"clustered_partitions": 0}
-    next_epoch = next_lane_epoch(store.manifest_names(gen))
-    schema_store = SchemaStore(lake_root, table)
-    target_version = (
-        schema_store.current_version()
-        if schema_store.exists()
-        else max(m.schema_version for m in state.values())
-    )
 
-    def cluster_one(batch: pa.Table) -> pa.Table:
-        import math
-
+    def order(t: pa.Table):
         import numpy as np
 
-        def fold(prev):
-            # the driver's winning manifest: the stack below IS the state
-            t = _align_lake_table(
-                read_files(lake_root, prev.files),
-                lake_root, table, prev.schema_version, target_version,
-            )
-            if is_delta:
-                t = lww_compact(t, pk, ver, SEQ_COLUMN)
-            if isinstance(by, str):
-                t = t.sort_by([(by, "ascending")])
-            elif len(by) == 1:
-                t = t.sort_by([(by[0], "ascending")])
-            else:
-                z = _zorder_values(t, list(by))
-                t = t.take(pa.array(np.argsort(z, kind="stable")))
-            n = t.num_rows
-            n_files = max(1, math.ceil(n / target_rows_per_file))
-            step = math.ceil(n / n_files) if n else 0
-            pieces = [
-                (f"-c{j:03d}", t.slice(j * step, step) if n else t)
-                for j in range(n_files)
-            ]
-            return pieces, dict(
-                row_count=n,
-                max_seq=prev.max_seq,
-                digest=_table_digest(t),
-                schema_version=target_version,
-                covers_epoch=prev.effective_epoch,
-            )
+        if is_delta:
+            t = lww_compact(t, pk, ver, SEQ_COLUMN)
+        if isinstance(by, str):
+            t = t.sort_by([(by, "ascending")])
+        elif len(by) == 1:
+            t = t.sort_by([(by[0], "ascending")])
+        else:
+            z = _zorder_values(t, list(by))
+            t = t.take(pa.array(np.argsort(z, kind="stable")))
+        return t, 0
 
-        return pa.concat_tables(
-            commit_partition(
-                lake_root, table, generation=gen, epoch=next_epoch,
-                partition=r["partition"], changes_in=0, fold=fold,
-                prev=state[r["partition"]],
-            )
-            for r in batch.to_pylist()
-        )
-
-    res = ray.data.from_items(
-        [{"partition": p} for p in sorted(state)], override_num_blocks=len(state)
-    ).map_batches(cluster_one, batch_format="pyarrow", batch_size=None)
-    n = res.count()
-    return {"clustered_partitions": n, "epoch": next_epoch, "by": by}
+    epoch, stats = _commit_lane(
+        lake_root, table, gen, state, order, rows_per_file=target_rows_per_file
+    )
+    return {"clustered_partitions": stats.num_rows, "epoch": epoch, "by": by}
 
 
 def lineage_dataset(lake_root: str, table: str, *, generation: int | None = None):
@@ -1189,12 +1191,12 @@ def delete_rows(lake_root: str, table: str, keys) -> dict:
     versions AND tombstones — from the partitions they hash to, leaving
     all other partitions untouched.
 
-    Mechanics mirror :func:`compact_table`: keys route to partitions via
-    the table's persisted hash scheme (O(keys) partitions of I/O at any
-    table size); one Ray task per touched partition reads its current
-    state (snapshot files or delta stack), filters the keys out, and
-    commits the rewritten snapshot through the normal manifest CAS in the
-    COMPACTION epoch lane with ``covers_epoch`` = the partition's current
+    A lane rewrite (:func:`_commit_lane`), like :func:`compact_table`:
+    keys route to partitions via the table's persisted hash scheme
+    (O(keys) partitions of I/O at any table size); each touched
+    partition's current state (snapshot files or delta stack) drops the
+    keys' rows, is LWW-folded into one snapshot file and commits in the
+    COMPACTION epoch lane with ``covers_epoch`` = the partition's own
     covered source epoch.  Consequences of that ranking:
 
     - replaying any already-committed source epoch is still a no-op (its
@@ -1209,7 +1211,8 @@ def delete_rows(lake_root: str, table: str, keys) -> dict:
 
     Idempotent per lane epoch: re-running with the same keys writes a new
     lane manifest over identical content.  Returns touched-partition and
-    removed-row counts.
+    removed-row counts (physical rows: every version and tombstone of a
+    key in a delta stack counts).
     """
     from ..functions.hashing import partition_ids
 
@@ -1230,90 +1233,36 @@ def delete_rows(lake_root: str, table: str, keys) -> dict:
     if isinstance(keys, pa.ChunkedArray):
         keys = keys.combine_chunks()
     keys = keys.drop_null()
-    num_partitions = int(meta["num_partitions"])
     gen = meta["generation"]
-    all_stacks = _delta_partition_stacks(store, meta)
-    if not all_stacks:
+    state = {p: m for p, m in store.table_state(gen).items() if m.files}
+    if not state:
         return {"partitions_rewritten": 0, "rows_removed": 0}
     # Route with the pk column's NATIVE type: the lake was partitioned on
     # it, and the stable hash of '13' (string) differs from 13 (int) — a
     # type-mismatched key list (e.g. the CLI always passes strings) would
     # rewrite the wrong partitions and silently delete nothing.  The pk
     # type comes from a committed file's footer (metadata-only read).
-    import pyarrow.parquet as _pq
+    import pyarrow.parquet as pq
 
-    pk_type = (
-        _pq.read_schema(Path(lake_root) / all_stacks[0]["files"][0])
-        .field(pk)
-        .type
-    )
-    keys = keys.cast(pk_type)
-    wanted = set(partition_ids(keys, num_partitions).tolist())
-    stacks = [s for s in all_stacks if s["partition"] in wanted]
-    if not stacks:
+    first = state[min(state)].files[0]
+    keys = keys.cast(pq.read_schema(Path(lake_root) / first).field(pk).type)
+    wanted = set(partition_ids(keys, int(meta["num_partitions"])).tolist())
+    state = {p: m for p, m in state.items() if p in wanted}
+    if not state:
         return {"partitions_rewritten": 0, "rows_removed": 0}
-    next_epoch = next_lane_epoch(store.manifest_names(gen))
-    target_version = max(s["schema_version"] for s in stacks)
-    pk_col, ver = pk, meta["cursor"]
-    keys_ref = ray.put(keys)
+    ver = meta["cursor"]
 
-    def delete_one(batch: pa.Table) -> pa.Table:
-        import numpy as np
+    def drop_then_fold(t: pa.Table):
+        col = t.column(pk)
+        hit = pc.fill_null(pc.is_in(col, value_set=keys.cast(col.type)), False)
+        kept = t.filter(pc.invert(hit))
+        return lww_compact(kept, pk, ver, SEQ_COLUMN), t.num_rows - kept.num_rows
 
-        key_set = ray.get(keys_ref)
-        out = []
-        for r in batch.to_pylist():
-            stack = _align_lake_table(
-                read_files(lake_root, r["files"]),
-                lake_root, table, r["schema_version"], target_version,
-            )
-            col = stack.column(pk_col)
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            hit = pc.fill_null(
-                pc.is_in(col, value_set=key_set.cast(col.type)), False
-            )
-            kept = stack.filter(pc.invert(hit))
-            removed = stack.num_rows - kept.num_rows
-            merger = make_partition_merger(
-                lake_root,
-                table,
-                generation=gen,
-                epoch=next_epoch,
-                mode="append_dedup",
-                pk=pk_col,
-                ver=ver,
-                compute_digest=True,
-                schema_version=target_version,
-                strategy="snapshot",  # the rewrite IS the full merge
-                include_prev=False,
-                covers_epoch=r["covers_epoch"],
-            )
-            kept = kept.append_column(
-                "_part",
-                pa.array(
-                    np.full(kept.num_rows, r["partition"], dtype=np.int64)
-                ),
-            )
-            stats = merger(kept, partition=r["partition"])
-            out.append(
-                stats.append_column(
-                    "rows_removed",
-                    pa.array([removed] * stats.num_rows, type=pa.int64()),
-                )
-            )
-        return pa.concat_tables(out)
-
-    stats = (
-        ray.data.from_items(stacks)
-        .map_batches(delete_one, batch_format="pyarrow", batch_size=1)
-        .to_arrow_refs()
-    )
-    stats = pa.concat_tables(ray.get(stats))
+    epoch, stats = _commit_lane(lake_root, table, gen, state, drop_then_fold)
     return {
         "partitions_rewritten": stats.num_rows,
-        "rows_removed": int(pc.sum(stats.column("rows_removed")).as_py() or 0),
-        "epoch": next_epoch,
+        "rows_removed": stats_sum(stats, "changes_in"),
+        "epoch": epoch,
     }
 
 
@@ -1685,11 +1634,7 @@ def repartition_table(
             pk=pk,
             ver=ver,
             compute_digest=compute_digest,
-            schema_version=(
-                SchemaStore(lake_root, table).current_version()
-                if SchemaStore(lake_root, table).exists()
-                else 0
-            ),
+            schema_version=_target_version(lake_root, table, ()),
         )
         stats_t = commit_epoch(
             store, snap, partitioner=partitioner, merger=merger,

@@ -174,27 +174,33 @@ def changes_to_lake_rows(changes: pa.Table, payload_columns: list[str]) -> pa.Ta
     return pa.table(cols)
 
 
-def make_envelope_aligner(
-    lake_root: str, table_name: str, src_ver: int, dst_ver: int
-) -> Callable[[pa.Table], pa.Table] | None:
-    """Batch transform upgrading an epoch's envelope batches written under an
-    older schema version to the current one (preserves seq/epoch/op)."""
+ENVELOPE_META = ("seq", "epoch", "op")
+
+
+def align_schema(
+    t: pa.Table,
+    lake_root: str,
+    table_name: str,
+    src_ver: int,
+    dst_ver: int,
+    *,
+    meta_columns: tuple[str, ...] = (SEQ_COLUMN, DELETED_COLUMN),
+) -> pa.Table:
+    """Rewrite ``t`` from schema version src → dst (add → null-fill, widen
+    → cast, rename-by-id), keeping the engine's ``meta_columns`` — they
+    are outside the registered schema: a lake table's ``_seq``/``_deleted``
+    by default, a change envelope's :data:`ENVELOPE_META`."""
     if src_ver == dst_ver:
-        return None
+        return t
+    from ..state.registry import SchemaStore
 
-    def align(batch: pa.Table) -> pa.Table:
-        from ..state.registry import SchemaStore
-
-        meta_cols = [c for c in ("seq", "epoch", "op") if c in batch.column_names]
-        payload = batch.drop_columns(meta_cols)
-        aligned = SchemaStore(lake_root, table_name).align(
-            payload, source_version=src_ver, target_version=dst_ver
-        )
-        for c in meta_cols:
-            aligned = aligned.append_column(c, batch.column(c))
-        return aligned
-
-    return align
+    meta_cols = [c for c in meta_columns if c in t.column_names]
+    aligned = SchemaStore(lake_root, table_name).align(
+        t.drop_columns(meta_cols), source_version=src_ver, target_version=dst_ver
+    )
+    for c in meta_cols:
+        aligned = aligned.append_column(c, t.column(c))
+    return aligned
 
 
 def make_partitioner(
@@ -471,7 +477,7 @@ def commit_epoch(
     merges.  Both run the same ``merger`` (so :func:`commit_partition`)
     per partition and write the same lake.  In-process, the table state
     as of ``epoch - 1`` is resolved once for the routed partitions and
-    the merger is called as ``merger(group, partition=p, prev=m)`` with
+    the merger is called as ``merger(group, prev=m)`` with
     each one's winning manifest (None keeps :func:`commit_partition`'s
     own lookup); a Dataset epoch's merge tasks each look up their own.
 
@@ -487,9 +493,7 @@ def commit_epoch(
         state = store.table_state(
             generation, max_epoch=epoch - 1, partitions=[p for p, _ in groups]
         )
-        batches = [
-            merger(group, partition=p, prev=state.get(p)) for p, group in groups
-        ]
+        batches = [merger(group, prev=state.get(p)) for p, group in groups]
     else:
         if partitioner is not None:
             # batch_size=None → whole-block zero-copy Arrow batches; bigger
@@ -512,24 +516,6 @@ def commit_epoch(
     return stats
 
 
-def _align_lake_table(
-    t: pa.Table, lake_root: str, table_name: str, src_ver: int, dst_ver: int
-) -> pa.Table:
-    """Rewrite a snapshot table from schema version src → dst, preserving
-    the engine meta columns (they are outside the registered schema)."""
-    if src_ver == dst_ver:
-        return t
-    from ..state.registry import SchemaStore
-
-    meta_cols = [c for c in (SEQ_COLUMN, DELETED_COLUMN) if c in t.column_names]
-    payload = t.drop_columns(meta_cols)
-    store = SchemaStore(lake_root, table_name)
-    aligned = store.align(payload, source_version=src_ver, target_version=dst_ver)
-    for c in meta_cols:
-        aligned = aligned.append_column(c, t.column(c))
-    return aligned
-
-
 def make_partition_merger(
     lake_root: str,
     table_name: str,
@@ -543,8 +529,6 @@ def make_partition_merger(
     schema_version: int = 0,
     strategy: str = "snapshot",
     compact_every: int = 8,
-    include_prev: bool = True,
-    covers_epoch: int = -1,
 ) -> Callable[[pa.Table], pa.Table]:
     """Per-partition merge/commit task for ``groupby('_part').map_groups``.
 
@@ -570,19 +554,10 @@ def make_partition_merger(
     output — the replay-equivalence invariant.
     """
 
-    def merge(
-        group: pa.Table, *, partition: int | None = None,
-        prev: PartitionManifest | None = None,
-    ) -> pa.Table:
-        # partition override: maintenance rewrites (delete_rows) may hand in
-        # a 0-row group (every row of the partition removed) where the
-        # usual first-row _part probe has nothing to read; prev: the
-        # partition's state already resolved by the caller (commit_epoch)
-        part = (
-            partition
-            if partition is not None
-            else int(group.column("_part")[0].as_py())
-        )
+    def merge(group: pa.Table, *, prev: PartitionManifest | None = None) -> pa.Table:
+        # prev: the partition's state already resolved by the caller
+        # (commit_epoch in-process); None → commit_partition looks it up
+        part = int(group.column("_part")[0].as_py())
 
         def fold(prev: PartitionManifest | None):
             changes = group.drop_columns(["_part"])
@@ -627,11 +602,11 @@ def make_partition_merger(
                 changes = lww_compact(changes, pk, ver, SEQ_COLUMN)
                 keys_changed = changes.num_rows
                 pieces = [changes]
-                if include_prev and prev is not None and prev.files:
+                if prev is not None and prev.files:
                     # in-flight schema upgrade: snapshots written under an
                     # older registry version are rewritten (add→null-fill,
                     # widen→cast, rename-by-id) before the merge
-                    pieces.append(_align_lake_table(
+                    pieces.append(align_schema(
                         read_files(lake_root, prev.files), lake_root,
                         table_name, prev.schema_version, schema_version,
                     ))
@@ -662,7 +637,6 @@ def make_partition_merger(
                 ),
                 mode=mode,
                 schema_version=schema_version,
-                covers_epoch=covers_epoch,
                 keys_changed=keys_changed,
             )
 

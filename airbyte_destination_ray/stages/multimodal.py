@@ -9,8 +9,7 @@ unchanged with ``concurrency`` sized to the cluster.
 
 Codec-free formats are decoded FOR REAL: PPM (P6) and uncompressed 24-bit
 BMP are parsed in pure numpy (header + pixel array), so width/height/
-channels/mean_luma and nearest-neighbor resize are actual pixel math for
-those payloads.  Compressed formats (JPEG/PNG/audio/video) need codec
+channels/mean_luma are actual pixel math for those payloads.  Compressed formats (JPEG/PNG/audio/video) need codec
 libraries that are NOT in this container, so those kernels are STUBS: with
 ``strict=True`` they raise ``NotImplementedError`` (clearly marking the
 integration point); by default they produce DETERMINISTIC FAKE decodes
@@ -205,29 +204,6 @@ def y4m_layout(payload: bytes) -> tuple[list[int], int, int, int] | None:
     return offsets, w, h, frame_size
 
 
-def decode_y4m(
-    payload: bytes, picks: np.ndarray | None = None
-) -> tuple[list[bytes], int, int, int] | None:
-    """YUV4MPEG2 (4:2:0) → (frames, width, height, n_frames), or None on
-    malformed input.  Raw frames are Y+U+V planes (w*h*3/2 bytes).
-
-    With ``picks`` (frame indices; out-of-range entries are skipped, never
-    raised) only the sampled frames are materialized — a long video never
-    duplicates its full frame data in memory."""
-    lay = y4m_layout(payload)
-    if lay is None:
-        return None
-    offsets, w, h, frame_size = lay
-    nf = len(offsets)
-    wanted = (
-        range(nf)
-        if picks is None
-        else [int(j) for j in picks if 0 <= int(j) < nf]
-    )
-    frames = [payload[offsets[j] : offsets[j] + frame_size] for j in wanted]
-    return frames, w, h, nf
-
-
 def encode_y4m(frames: list[bytes], w: int, h: int) -> bytes:
     out = [f"YUV4MPEG2 W{w} H{h} F25:1 Ip A1:1 C420\n".encode()]
     for f in frames:
@@ -360,64 +336,6 @@ class ImageDecodeStage:
         )
         batch = batch.append_column(
             "mean_luma", pa.array([d[3] for d in decoded], type=pa.float64())
-        )
-        return batch
-
-
-class ImageResizeStage:
-    """payload → resized payload + target dims.
-
-    PPM/BMP payloads are REALLY resized (nearest-neighbor index map in
-    numpy) and re-encoded as PPM; compressed formats fall back to the stub
-    (deterministic truncation/pad to the target byte budget)."""
-
-    def __init__(self, width: int = 224, height: int = 224, *, strict: bool = False):
-        self.width = width
-        self.height = height
-        self.strict = strict
-        self.target_bytes = width * height * 3
-
-    def _resize_real(self, px: np.ndarray) -> bytes:
-        h, w = px.shape[:2]
-        rows = (np.arange(self.height) * h) // self.height
-        cols = (np.arange(self.width) * w) // self.width
-        return encode_ppm(px[rows][:, cols])
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = []
-        mimes = batch.column("mime").to_pylist()
-        for row, p in enumerate(batch.column("payload").to_pylist()):
-            if p is None:
-                out.append(None)
-                continue
-            px = _decode_pixels(p)
-            if px is not None:
-                out.append(self._resize_real(px))
-                # re-encoded as PPM regardless of input format — the mime
-                # must follow the payload or downstream dispatch misparses
-                mimes[row] = "image/x-portable-pixmap"
-                continue
-            if self.strict:
-                raise NotImplementedError(
-                    "compressed-image resize requires a codec — stubbed"
-                )
-            rep = (p * (self.target_bytes // max(len(p), 1) + 1))[: self.target_bytes]
-            out.append(rep)
-        batch = batch.set_column(
-            batch.column_names.index("payload"),
-            "payload",
-            pa.array(out, type=pa.binary()),
-        )
-        batch = batch.set_column(
-            batch.column_names.index("mime"),
-            "mime",
-            pa.array(mimes, type=pa.string()),
-        )
-        batch = batch.append_column(
-            "width", pa.array([self.width] * batch.num_rows, type=pa.int32())
-        )
-        batch = batch.append_column(
-            "height", pa.array([self.height] * batch.num_rows, type=pa.int32())
         )
         return batch
 

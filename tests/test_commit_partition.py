@@ -4,8 +4,9 @@
 CAS-commits a ``PartitionManifest``; these tests pin its protocol on tiny
 tables: the first commit, the exactly-once replay no-op, a lost CAS, a
 delta commit that keeps its previous files, multi-piece naming, and the
-refusal of a ``covers_epoch`` below the compaction lane.  The last test is
-a structural guard that keeps every writer on this path.
+refusal of a ``covers_epoch`` below the compaction lane.  The last two
+tests are structural guards: every writer stays on this path, and every
+compaction-lane writer on the one lane helper.
 """
 
 import ast
@@ -182,3 +183,20 @@ def test_only_commit_partition_builds_or_commits_manifests():
             ):
                 offenders.append(f"{path.relative_to(pkg)}:{call.lineno} {name}")
     assert offenders == []
+
+
+def test_only_the_lane_helper_takes_a_lane_epoch():
+    """Structural guard: ``next_lane_epoch(`` is called only inside
+    ``pipelines.cdc._commit_lane``, so every compaction-lane writer
+    (``compact_table``, ``cluster_table``, ``delete_rows``) commits through
+    it — and covers its partition's own epoch, not the table's newest."""
+    pkg = Path(airbyte_destination_ray.__file__).parent
+    callers = []
+    for path in sorted(pkg.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn, call in _calls(tree):
+            f = call.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name == "next_lane_epoch":
+                callers.append(f"{path.relative_to(pkg).as_posix()}::{fn}")
+    assert callers == ["pipelines/cdc.py::_commit_lane"]

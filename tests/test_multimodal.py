@@ -8,7 +8,6 @@ import pytest
 from airbyte_destination_ray.stages.multimodal import (
     AudioFeatureStage,
     ImageDecodeStage,
-    ImageResizeStage,
     VideoFrameSampleStage,
     decode_images,
     sample_video_frames,
@@ -37,13 +36,6 @@ def test_image_decode_strict_marks_stub():
     t = synthesize_media_table(1)
     with pytest.raises(NotImplementedError):
         ImageDecodeStage(strict=True)(t)
-
-
-def test_resize_stage_byte_budget():
-    t = synthesize_media_table(3)
-    out = ImageResizeStage(width=8, height=8)(t)
-    for p in out.column("payload").to_pylist():
-        assert len(p) == 8 * 8 * 3
 
 
 def test_audio_features_fixed_dim():
@@ -127,13 +119,9 @@ def test_bmp_decode_real():
     assert (out == px).all()
 
 
-def test_real_decode_and_resize_pipeline():
-    import numpy as np
-
+def test_real_decode_pipeline():
     from airbyte_destination_ray.stages.multimodal import (
         ImageDecodeStage,
-        ImageResizeStage,
-        decode_ppm,
         synthesize_media_table,
     )
 
@@ -144,30 +132,6 @@ def test_real_decode_and_resize_pipeline():
     assert all(16 <= w < 64 for w in ws) and all(16 <= h < 64 for h in hs)
     lumas = out.column("mean_luma").to_pylist()
     assert all(0.0 < l < 1.0 for l in lumas)
-    # real resize: output payloads decode to exactly the target dims
-    resized = ImageResizeStage(width=8, height=5, strict=True)(t)
-    for p in resized.column("payload").to_pylist():
-        px = decode_ppm(p)
-        assert px.shape == (5, 8, 3)
-    # nearest-neighbor correctness on a known image: 2x2 checker upscaled 4x4
-    from airbyte_destination_ray.stages.multimodal import encode_ppm
-
-    checker = np.array(
-        [[[0, 0, 0], [255, 255, 255]], [[255, 255, 255], [0, 0, 0]]],
-        dtype=np.uint8,
-    )
-    t2 = pa.table(
-        {
-            "media_id": pa.array([0], type=pa.int64()),
-            "kind": pa.array(["image"]),
-            "payload": pa.array([encode_ppm(checker)], type=pa.binary()),
-            "mime": pa.array(["image/x-portable-pixmap"]),
-        }
-    )
-    up = ImageResizeStage(width=4, height=4)(t2)
-    px = decode_ppm(up.column("payload").to_pylist()[0])
-    expect = checker[np.array([0, 0, 1, 1])][:, np.array([0, 0, 1, 1])]
-    assert (px == expect).all()
 
 
 def test_wav_decode_real_features():
@@ -236,33 +200,18 @@ def test_malformed_codec_free_payloads_never_hang_or_raise():
     from airbyte_destination_ray.stages.multimodal import (
         decode_ppm,
         decode_wav,
-        decode_y4m,
         encode_wav,
+        y4m_layout,
     )
     import numpy as np
 
-    assert decode_y4m(b"YUV4MPEG2 W2 H-2\nFRAME\n") is None
-    assert decode_y4m(b"YUV4MPEG2 Wx H2\nFRAME\n") is None
+    assert y4m_layout(b"YUV4MPEG2 W2 H-2\nFRAME\n") is None
+    assert y4m_layout(b"YUV4MPEG2 Wx H2\nFRAME\n") is None
     assert decode_ppm(b"P6\n-3 -2\n255\n" + b"\x00" * 18) is None
     assert decode_ppm(b"P6\n0 0\n255\n") is None
     wav = bytearray(encode_wav(np.zeros(16, dtype=np.int16), 8000))
     wav[24:28] = (0).to_bytes(4, "little")  # sampleRate = 0
     assert decode_wav(bytes(wav)) is None
-
-
-def test_resize_rewrites_mime_for_reencoded_payloads():
-    from airbyte_destination_ray.stages.multimodal import (
-        ImageResizeStage,
-        synthesize_media_table,
-    )
-
-    t = synthesize_media_table(3, real_format="ppm")
-    out = ImageResizeStage(width=4, height=4)(t)
-    assert set(out.column("mime").to_pylist()) == {"image/x-portable-pixmap"}
-    # stub path keeps the original mime
-    t2 = synthesize_media_table(3)  # opaque bytes
-    out2 = ImageResizeStage(width=4, height=4)(t2)
-    assert set(out2.column("mime").to_pylist()) == {"image/fake"}
 
 
 def test_exact_corpus_channel_sums_match_closed_form(ray_session):

@@ -293,22 +293,27 @@ def test_value_histogram(events):
 
 def test_hll_sketch_accuracy():
     from airbyte_destination_ray.functions.sketches import (
+        distinct_sketch_partial,
         hll_estimate,
         hll_merge,
-        hll_partial,
     )
+
+    def registers(values):
+        # the distinct sketch's register form (threshold 0: never exact)
+        sketch = distinct_sketch_partial(values, sparse_threshold=0)
+        return np.frombuffer(sketch, np.uint8, offset=1)
 
     rng = np.random.default_rng(3)
     # two overlapping batches; merged estimate ~ true union cardinality
     a = rng.integers(0, 50_000, size=40_000)
     b = rng.integers(25_000, 75_000, size=40_000)
     true = len(set(a.tolist()) | set(b.tolist()))
-    regs = hll_merge(hll_partial(a), hll_partial(b))
+    regs = hll_merge(registers(a), registers(b))
     est = hll_estimate(regs)
     assert abs(est - true) / true < 0.05
     # merge is commutative/associative and idempotent
-    r1 = hll_merge(hll_partial(a), hll_partial(b))
-    r2 = hll_merge(hll_partial(b), hll_partial(a))
+    r1 = hll_merge(registers(a), registers(b))
+    r2 = hll_merge(registers(b), registers(a))
     assert (r1 == r2).all()
     assert (hll_merge(r1, r1) == r1).all()
 

@@ -7,7 +7,6 @@ import pyarrow.compute as pc
 
 from airbyte_destination_ray.functions.minhash import (
     band_keys,
-    jaccard_estimate,
     minhash_signatures,
 )
 from airbyte_destination_ray.functions.simhash import (
@@ -15,15 +14,11 @@ from airbyte_destination_ray.functions.simhash import (
     simhash64,
 )
 from airbyte_destination_ray.functions.text import (
-    BPE_ISH_PATTERN,
-    bpe_ish_token_count,
     content_fingerprint,
     enrich_text_columns,
-    fast_token_count,
     lang_id,
     quality_features,
     quality_score,
-    token_count,
 )
 
 EN = "The quick brown fox jumps over the lazy dog and that is fine for you"
@@ -42,17 +37,6 @@ def test_lang_id_major_languages():
 def test_lang_id_null_and_garbage():
     out = lang_id(pa.array([None, "", "12345 999 11"])).to_pylist()
     assert out == [None, "und", "und"]
-
-
-def test_token_counts_match_regex_reference():
-    texts = pa.array([EN, "don't stop-me now!!!", "", None, "a  b\t c"])
-    ws = token_count(texts).to_pylist()
-    assert ws == [15, 3, 0, None, 3]
-    # fast byte-run counter tracks the regex counter on ASCII text
-    fast = fast_token_count(texts).to_pylist()
-    regex = bpe_ish_token_count(texts).to_pylist()
-    assert fast[2:] == regex[2:]
-    assert abs(fast[0] - regex[0]) <= 1 and abs(fast[1] - regex[1]) <= 1
 
 
 def test_quality_features_counts():
@@ -115,8 +99,9 @@ def test_minhash_jaccard_discrimination():
     b = a.replace("sunny", "rainy")
     c = "completely different content about machine learning and neural networks training"
     sig = minhash_signatures(pa.array([a, b, c]), num_perm=64, shingle_k=5)
-    assert jaccard_estimate(sig[0], sig[1]) > 0.3
-    assert jaccard_estimate(sig[0], sig[2]) < 0.1
+    # the share of agreeing signature slots estimates the Jaccard similarity
+    assert (sig[0] == sig[1]).mean() > 0.3
+    assert (sig[0] == sig[2]).mean() < 0.1
 
 
 def test_minhash_band_keys_candidate_property():
@@ -156,21 +141,6 @@ def test_quality_features_match_python_reference():
             assert abs(f["alpha_ratio"].to_pylist()[i] - n_alpha / n) < 1e-9
             assert abs(f["digit_ratio"].to_pylist()[i] - n_digit / n) < 1e-9
             assert abs(f["upper_ratio"].to_pylist()[i] - n_upper / n) < 1e-9
-
-
-def test_fast_token_count_matches_regex_on_random_ascii():
-    import random
-
-    rng = random.Random(11)
-    chars = "ab c1 2,.'! \t"
-    docs = ["".join(rng.choice(chars) for _ in range(rng.randint(0, 40))) for _ in range(300)]
-    fast = fast_token_count(pa.array(docs)).to_pylist()
-    # fast counts runs; regex splits contractions slightly differently —
-    # allow ±1 per doc but require exact match on docs without apostrophes
-    regex = bpe_ish_token_count(pa.array(docs)).to_pylist()
-    for d, a, b in zip(docs, fast, regex):
-        if "'" not in d:
-            assert a == b, (d, a, b)
 
 
 def test_repetition_features_counts_and_nulls():
