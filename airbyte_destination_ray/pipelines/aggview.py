@@ -64,7 +64,7 @@ def maintain_view(
         if ds is None:
             continue
 
-        def merge(group: pa.Table) -> pa.Table:
+        def merge(group: pa.Table, *, prev=None) -> pa.Table:
             def view_fold(prev):
                 pieces = fold(group.drop_columns(["_part"]), prev)
                 return pieces, {"row_count": pieces[0][1].num_rows}
@@ -72,7 +72,7 @@ def maintain_view(
             return commit_partition(
                 lake_root, table, generation=generation, epoch=e,
                 partition=int(group.column("_part")[0].as_py()),
-                changes_in=group.num_rows, fold=view_fold,
+                changes_in=group.num_rows, fold=view_fold, prev=prev,
             )
 
         stats = commit_epoch(

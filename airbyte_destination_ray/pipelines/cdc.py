@@ -14,15 +14,18 @@ epoch (the STATE-barrier analog, destination.go:402-420):
       → checkpoint(epoch)                            # only after all commits
 
 Epochs run sequentially (an epoch is a barrier by definition); everything
-within an epoch streams through Ray Data with backpressure.  The heavy data
-never touches the driver — merge tasks write snapshots + manifests directly;
-only the per-partition stats rows (one per partition) come back.
+within an epoch streams through Ray Data with backpressure, and the heavy
+data never touches the driver — merge tasks write snapshots + manifests
+directly; only the per-partition stats rows come back.
 
-An Airbyte flush (``pipelines/airbyte_write.py``) is the one commit whose
-input already sits on the driver as an Arrow table; ``commit_epoch`` takes
-that form in-process — partitioner → ``split_by_part`` → merger per
-partition, in partition order — with the same merger, manifests and bytes,
-and no Ray job.
+That holds for epochs larger than ``DRIVER_EPOCH_MAX_BYTES`` (uncompressed,
+per the segments' Parquet footers).  A smaller payload-exchange epoch costs
+less than a Ray Data job's start-up, so it is committed on the driver: each
+segment is read with ``pq.read_table`` and routed whole by the same
+partitioner, and ``commit_epoch`` takes the routed ``pa.Table`` in-process —
+``split_by_part`` → merger per partition, in partition order — with the same
+merger, manifests and bytes.  An Airbyte flush (``pipelines/airbyte_write.py``)
+commits the same way.  Each epoch summary names its route.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from pathlib import Path
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray.data
 
@@ -60,6 +64,19 @@ from ..state.manifest import (
 from ..state.registry import SchemaStore
 
 PAGES_PAYLOAD = ["url", "warc_ts", "html", "text", "lang"]
+
+# Largest binlog epoch committed on the driver, in uncompressed bytes per the
+# segments' Parquet footers (52.8 MB in the footer against 57.2 MB decoded
+# for a 100k-event synth segment).  One-epoch syncs on 4 CPUs (enrich +
+# extract_text, html_pad=8, 32 partitions, 250k-event segments, best of 3),
+# Ray Data job → driver, and the driver's peak RSS:
+#   100k events,  53 MB: 0.61 → 0.32 s, 187 → 372 MB
+#   250k events, 131 MB: 1.31 → 0.77 s, 187 → 609 MB
+#   500k events, 263 MB: 2.31 → 1.39 s, 188 → 654 MB
+#   1M events,   526 MB: 4.73 → 3.42 s, 189 → 654 MB
+# The driver was faster at every size, so memory, not speed, sets the bound:
+# the driver holds one decoded segment plus the pre-reduced rows so far.
+DRIVER_EPOCH_MAX_BYTES = 256 << 20
 
 
 def run_cdc_sync(
@@ -111,6 +128,16 @@ def run_cdc_sync(
       falls back for epochs needing in-flight schema alignment (renames may
       touch the key columns themselves).  Each fresh epoch's summary names
       the exchange it actually ran: ``"shuffle": "key_only" | "payload"``.
+
+    A payload-exchange epoch without ``expectations`` whose segments hold at
+    most ``DRIVER_EPOCH_MAX_BYTES`` (uncompressed, per their footers) is
+    committed on the driver, one segment read and pre-reduced at a time;
+    every other epoch runs a Ray Data job.  The summary names the route:
+    ``"route": "driver" | "ray"``.  Both routes write the same files and
+    manifests; ``changes_in`` — the rows entering the merge, in the summary
+    and the checkpoint — is route-dependent: Ray's reader may cut one
+    segment into several blocks, each pre-reduced on its own, so more rows
+    reach the merge than when the segment is pre-reduced whole.
     """
     if shuffle not in ("payload", "key_only"):
         raise ValueError(f"shuffle must be payload|key_only, got {shuffle!r}")
@@ -148,13 +175,6 @@ def run_cdc_sync(
         segments = list_segments(binlog_dir, e)
         if not segments:
             continue
-        # Block sizing: one read task per segment file.  Ray's default read
-        # splitting targets ≥200 blocks, which at small epoch sizes yields
-        # thousands of ~5k-row tasks whose scheduling overhead dominates
-        # (measured 4× slower); forcing MORE blocks than files makes tasks
-        # re-decode shared row groups (measured 3× slower).  Segments are
-        # written at a bounded row count, so file ≈ right-sized block.
-        ds = ray.data.read_parquet(segments, override_num_blocks=len(segments))
         # schema evolution (north rule): the epoch is pinned to the current
         # registry version; segments written under older versions are aligned
         # in-flight (add → null-fill, widen → cast, rename-by-id → rename)
@@ -183,17 +203,6 @@ def run_cdc_sync(
             # with the first failed rule; tombstones carry no payload and
             # always pass.  Both lanes commit through the same manifest
             # CAS, so replays stay exactly-once.
-            from .ops import first_failed_rule
-
-            def keep_valid(batch: pa.Table) -> pa.Table:
-                import numpy as np
-
-                idx = first_failed_rule(batch, expectations)
-                is_del = pc.equal(
-                    batch.column("op"), "D"
-                ).to_numpy(zero_copy_only=False)
-                return batch.filter(pa.array((idx == -1) | is_del))
-
             quarantined = _commit_quarantine_epoch(
                 lake_root,
                 table,
@@ -205,10 +214,7 @@ def run_cdc_sync(
                 num_partitions=num_partitions,
                 payload_columns=payload_columns,
             )
-            ds = ds.map_batches(
-                keep_valid, batch_format="pyarrow", batch_size=None
-            )
-        epoch_shuffle = "payload"
+        winners = None
         if (
             shuffle == "key_only"
             and mode == "append_dedup"
@@ -218,20 +224,14 @@ def run_cdc_sync(
             # out its older valid loser, so the gate forces payload shuffle
             and not expectations
         ):
-            from .relational import semi_join
-
+            # None = over the broadcast budget → payload shuffle for this
+            # epoch (correct either way; key_only is purely an
+            # exchange-volume optimization)
             winners = _epoch_winner_seqs(
                 segments, pk=pk, ver=ver, num_partitions=num_partitions,
                 max_winners=key_only_max_winners,
             )
-            # winners None = over the broadcast budget → payload shuffle for
-            # this epoch (correct either way; key_only is purely an
-            # exchange-volume optimization)
-            if winners is not None:
-                # broadcast membership filter (shared helper): keep only
-                # rows whose seq won pass 1
-                ds = semi_join(ds, winners, on="seq")
-                epoch_shuffle = "key_only"
+        epoch_shuffle = "payload" if winners is None else "key_only"
         partitioner = make_partitioner(
             pk,
             num_partitions,
@@ -259,8 +259,23 @@ def run_cdc_sync(
             strategy=merge_strategy,
             compact_every=compact_every,
         )
+        on_driver = (
+            epoch_shuffle == "payload"
+            and not expectations
+            and _uncompressed_bytes(segments) <= DRIVER_EPOCH_MAX_BYTES
+        )
+        if on_driver:
+            # one segment at a time: the driver holds one decoded segment
+            # plus the routed, pre-reduced output of the ones before it
+            epoch_input = pa.concat_tables(
+                [partitioner(pq.read_table(seg)) for seg in segments],
+                promote_options="permissive",
+            )
+        else:
+            epoch_input = _epoch_dataset(segments, expectations, winners)
         stats_t = commit_epoch(
-            store, ds, partitioner=partitioner, merger=merger,
+            store, epoch_input,
+            partitioner=None if on_driver else partitioner, merger=merger,
             generation=generation, epoch=e,
             checkpoint={"segments": [str(Path(s).name) for s in segments]},
         )
@@ -273,6 +288,7 @@ def run_cdc_sync(
             "changes_in": changes,
             "rows": stats_sum(stats_t, "rows"),
             "shuffle": epoch_shuffle,
+            "route": "driver" if on_driver else "ray",
             "wall_sec": round(time.perf_counter() - t_epoch, 3),
         }
         if expectations:
@@ -286,6 +302,45 @@ def run_cdc_sync(
         "epochs": epoch_summaries,
         "total_changes": total_changes,
     }
+
+
+def _uncompressed_bytes(segments: list[str]) -> int:
+    """Uncompressed size of the segments' row groups, from their footers
+    only — what the route choice can see before any data is read."""
+    total = 0
+    for seg in segments:
+        md = pq.read_metadata(seg)
+        total += sum(md.row_group(i).total_byte_size for i in range(md.num_row_groups))
+    return total
+
+
+def _epoch_dataset(segments: list[str], expectations, winners):
+    """The Ray Data input of a binlog epoch: its segments, minus the rows
+    the expectations quarantine, minus the key_only pass-1 losers."""
+    # Block sizing: one read task per segment file.  Ray's default read
+    # splitting targets ≥200 blocks, which at small epoch sizes yields
+    # thousands of ~5k-row tasks whose scheduling overhead dominates
+    # (measured 4× slower); forcing MORE blocks than files makes tasks
+    # re-decode shared row groups (measured 3× slower).  The reader may
+    # still cut one file into several blocks, each pre-reduced on its own.
+    ds = ray.data.read_parquet(segments, override_num_blocks=len(segments))
+    if expectations:
+        from .ops import first_failed_rule
+
+        def keep_valid(batch: pa.Table) -> pa.Table:
+            idx = first_failed_rule(batch, expectations)
+            is_del = pc.equal(batch.column("op"), "D").to_numpy(
+                zero_copy_only=False
+            )
+            return batch.filter(pa.array((idx == -1) | is_del))
+
+        ds = ds.map_batches(keep_valid, batch_format="pyarrow", batch_size=None)
+    if winners is not None:
+        from .relational import semi_join
+
+        # broadcast membership filter: keep only rows whose seq won pass 1
+        ds = semi_join(ds, winners, on="seq")
+    return ds
 
 
 def apply_changes(

@@ -23,8 +23,8 @@ operators:
 - :func:`commit_epoch` — the ONE epoch commit: partitioner → ``_part``
   exchange → merger per partition → stats table → S6 checkpoint barrier.
   A Dataset epoch runs the exchange as a Ray Data job; a driver-resident
-  Arrow table (an Airbyte flush) is split by :func:`split_by_part` and
-  committed in-process.
+  Arrow table (an Airbyte flush, a small binlog epoch) is split by
+  :func:`split_by_part` and committed in-process.
 
 Tombstones: a delete is a row that *wins* LWW at its ``(ver, seq)`` and
 suppresses the key from the read view.  Snapshots **retain** tombstone rows
@@ -131,9 +131,10 @@ def lww_compact(
 ) -> pa.Table:
     """Keep the winning row per key (single or composite): max ``(ver, seq)``.
 
-    Pure vectorized Arrow/numpy — one multi-key sort + a boundary mask; no
-    Python per-row work.  Output is sorted by ``pk`` (deterministic layout,
-    required for byte-identical replay).
+    Pure vectorized Arrow/numpy — one multi-key sort of the key columns + a
+    boundary mask; no Python per-row work, and only the winners of the
+    (possibly wide) table are taken.  Output is sorted by ``pk``
+    (deterministic layout, required for byte-identical replay).
     """
     if table.num_rows == 0:
         return table
@@ -142,21 +143,18 @@ def lww_compact(
     # winner is the last row per key) — default null_placement would put
     # null-ver rows last, making them win LWW
     idx = pc.sort_indices(
-        table,
+        table.select(list(dict.fromkeys(pks + [ver, seq]))),
         sort_keys=[(c, "ascending") for c in pks]
         + [(ver, "ascending"), (seq, "ascending")],
         null_placement="at_start",
     )
-    t = table.take(idx)
-    last = np.zeros(t.num_rows, dtype=bool)
+    last = np.zeros(len(idx), dtype=bool)
     last[-1] = True
-    if t.num_rows > 1:
-        boundary = np.zeros(t.num_rows - 1, dtype=bool)
-        for c in pks:
-            keys = t.column(c).combine_chunks().to_numpy(zero_copy_only=False)
-            boundary |= keys[:-1] != keys[1:]
-        last[:-1] = boundary
-    t = t.filter(pa.array(last))
+    for c in pks:
+        keys = table.column(c).take(idx).combine_chunks()
+        keys = keys.to_numpy(zero_copy_only=False)
+        last[:-1] |= keys[:-1] != keys[1:]
+    t = table.take(idx.filter(pa.array(last)))
     if drop_tombstones and tombstone_col in t.column_names:
         t = t.filter(pc.fill_null(pc.invert(t.column(tombstone_col)), True))
     return t
@@ -468,18 +466,29 @@ def commit_epoch(
     already carries ``_part``), they are grouped by ``_part``, ``merger``
     commits each partition; returns the gathered stats rows.
 
-    ``ds`` is either a ``ray.data.Dataset`` — distributed input (binlog
-    epochs, repartition, views): each block is routed by ``map_batches``
-    and ONE ``groupby("_part").map_groups`` exchange runs the merger — or
-    a ``pa.Table`` already on the driver (an Airbyte flush): it is routed,
-    split by ``_part`` and committed in-process, partition by partition,
-    without a Ray job, whose fixed cost is larger than a small commit's
-    merges.  Both run the same ``merger`` (so :func:`commit_partition`)
-    per partition and write the same lake.  In-process, the table state
-    as of ``epoch - 1`` is resolved once for the routed partitions and
-    the merger is called as ``merger(group, prev=m)`` with
-    each one's winning manifest (None keeps :func:`commit_partition`'s
-    own lookup); a Dataset epoch's merge tasks each look up their own.
+    ``ds`` takes one of two input forms, told apart by type:
+
+    - a ``ray.data.Dataset`` — distributed input (a binlog epoch over the
+      driver bound of ``run_cdc_sync``, ``apply_changes``, repartition,
+      quarantine, views): each block is routed by ``map_batches`` and ONE
+      ``groupby("_part").map_groups`` exchange runs the merger;
+    - a ``pa.Table`` already on the driver (an Airbyte flush, a binlog
+      epoch under the driver bound): it is routed, split by ``_part`` and
+      committed in-process, partition by partition, without a Ray job,
+      whose fixed cost is larger than a small commit's merges.
+
+    Both run the same ``merger`` (so :func:`commit_partition`) per
+    partition and write the same lake.  Either way the table state as of
+    ``epoch - 1`` is resolved once, on the driver, and the merger is called
+    as ``merger(group, prev=m)`` with each partition's winning manifest
+    (None keeps :func:`commit_partition`'s own lookup).
+
+    ``changes_in`` — the rows entering the merge, summed into the stats and
+    the checkpoint — depends on the form when the partitioner pre-reduces:
+    a Dataset's blocks are pre-reduced one block at a time, and Ray's
+    reader may cut one input file into several blocks, so fewer duplicates
+    collapse before the exchange than when a whole table is routed at
+    once.  The committed files and manifests do not depend on it.
 
     With a ``checkpoint`` payload, writes the epoch checkpoint — the S6
     barrier — only after every partition has committed (the stats totals
@@ -499,7 +508,15 @@ def commit_epoch(
             # batch_size=None → whole-block zero-copy Arrow batches; bigger
             # batches also sharpen the pre-reduce (more duplicates per batch)
             ds = ds.map_batches(partitioner, batch_format="pyarrow", batch_size=None)
-        out = ds.groupby("_part").map_groups(merger, batch_format="pyarrow")
+        # the routed partitions are unknown until the exchange runs: resolve
+        # every partition's state here, once, instead of one directory
+        # listing per merge task
+        state = store.table_state(generation, max_epoch=epoch - 1)
+
+        def merge(group: pa.Table) -> pa.Table:
+            return merger(group, prev=state.get(group.column("_part")[0].as_py()))
+
+        out = ds.groupby("_part").map_groups(merge, batch_format="pyarrow")
         batches = list(out.iter_batches(batch_format="pyarrow"))
     stats = pa.concat_tables(batches) if batches else STATS_SCHEMA.empty_table()
     if checkpoint is not None:
@@ -556,7 +573,7 @@ def make_partition_merger(
 
     def merge(group: pa.Table, *, prev: PartitionManifest | None = None) -> pa.Table:
         # prev: the partition's state already resolved by the caller
-        # (commit_epoch in-process); None → commit_partition looks it up
+        # (commit_epoch); None → commit_partition looks it up
         part = int(group.column("_part")[0].as_py())
 
         def fold(prev: PartitionManifest | None):
